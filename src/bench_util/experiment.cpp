@@ -82,36 +82,7 @@ double QuerySetResult::AvgPeakMemory() const {
 QuerySetResult RunQuerySet(const TemporalDataset& dataset,
                            const std::vector<QueryGraph>& queries,
                            EngineKind kind, Timestamp window,
-                           double time_limit_ms) {
-  QuerySetResult out;
-  const GraphSchema schema = SchemaOf(dataset);
-  for (const QueryGraph& query : queries) {
-    SharedStreamContext ctx(schema);
-    auto engine = MakeEngine(kind, query, ctx.graph());
-    ctx.Attach(engine.get());
-    CountingSink sink;
-    engine->set_sink(&sink);
-    StreamConfig config;
-    config.window = window;
-    config.time_limit_ms = time_limit_ms;
-    const StreamResult res = RunStream(dataset, config, &ctx);
-    out.per_query_solved.push_back(res.completed ? 1 : 0);
-    out.per_query_ms.push_back(
-        res.completed ? res.elapsed_ms
-                      : std::max(res.elapsed_ms, time_limit_ms));
-    out.per_query_matches.push_back(res.occurred + res.expired);
-    out.per_query_peak_mem.push_back(res.peak_memory_bytes);
-  }
-  return out;
-}
-
-QuerySetResult RunQuerySetParallel(const TemporalDataset& dataset,
-                                   const std::vector<QueryGraph>& queries,
-                                   EngineKind kind, Timestamp window,
-                                   double time_limit_ms, size_t threads) {
-  if (threads <= 1 || queries.size() <= 1) {
-    return RunQuerySet(dataset, queries, kind, window, time_limit_ms);
-  }
+                           double time_limit_ms, size_t threads) {
   const GraphSchema schema = SchemaOf(dataset);
   const size_t n = queries.size();
   QuerySetResult out;
@@ -120,16 +91,13 @@ QuerySetResult RunQuerySetParallel(const TemporalDataset& dataset,
   out.per_query_matches.assign(n, 0);
   out.per_query_peak_mem.assign(n, 0);
 
+  // Each query replays the dataset alone on its own context.
   std::atomic<size_t> next{0};
   auto worker = [&]() {
-    for (;;) {
-      const size_t q = next.fetch_add(1);
-      if (q >= n) return;
+    for (size_t q = next.fetch_add(1); q < n; q = next.fetch_add(1)) {
       SharedStreamContext ctx(schema);
       auto engine = MakeEngine(kind, queries[q], ctx.graph());
       ctx.Attach(engine.get());
-      CountingSink sink;
-      engine->set_sink(&sink);
       StreamConfig config;
       config.window = window;
       config.time_limit_ms = time_limit_ms;
@@ -142,8 +110,12 @@ QuerySetResult RunQuerySetParallel(const TemporalDataset& dataset,
       out.per_query_peak_mem[q] = res.peak_memory_bytes;
     }
   };
-  std::vector<std::thread> pool;
   const size_t workers = std::min(threads, n);
+  if (workers <= 1) {
+    worker();  // serial: in the caller's thread, in query order
+    return out;
+  }
+  std::vector<std::thread> pool;
   pool.reserve(workers);
   for (size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();

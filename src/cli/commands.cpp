@@ -1,5 +1,6 @@
 #include "cli/commands.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -7,15 +8,13 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
-#include "baselines/local_enum_engine.h"
-#include "baselines/post_filter_engine.h"
-#include "baselines/timing_engine.h"
+#include "bench_util/experiment.h"
 #include "bench_util/table_printer.h"
 #include "core/automorphism.h"
 #include "core/snapshot.h"
 #include "core/stream_driver.h"
-#include "core/tcm_engine.h"
 #include "exec/parallel_context.h"
 #include "datasets/presets.h"
 #include "datasets/synthetic.h"
@@ -32,6 +31,12 @@
 
 namespace tcsm::cli {
 namespace {
+
+/// A numeric flag whose value does not parse in full (`--window=10x`).
+class FlagError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Tiny flag parser: positional arguments plus --key=value / --switch.
 class FlagSet {
@@ -60,101 +65,60 @@ class FlagSet {
     return it == flags_.end() ? dflt : it->second;
   }
   double GetDouble(const std::string& name, double dflt) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? dflt : std::stod(it->second);
+    return GetNumber(name, dflt, "a number");
   }
   int64_t GetInt(const std::string& name, int64_t dflt) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? dflt : std::stoll(it->second);
+    return GetNumber(name, dflt, "an integer");
   }
 
  private:
+  /// Parses the whole value of --name as a T; an empty or partial parse
+  /// throws a FlagError naming the flag.
+  template <typename T>
+  T GetNumber(const std::string& name, T dflt, const char* expected) const {
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return dflt;
+    const std::string& v = it->second;
+    const char* const last = v.data() + v.size();
+    T value{};
+    const auto [end, ec] = std::from_chars(v.data(), last, value);
+    if (ec != std::errc() || end != last) {
+      throw FlagError("--" + name + ": expected " + expected + ", got '" + v +
+                      "'");
+    }
+    return value;
+  }
+
   std::vector<std::string> positional_;
   std::map<std::string, std::string> flags_;
 };
 
-/// Loads either dataset format (`.tel` sniffed by header, else legacy
-/// edge list); the `.tel` header, when present, is returned for window
-/// defaulting.
-std::optional<TemporalDataset> LoadDataset(const FlagSet& flags,
-                                           const std::string& path,
-                                           std::ostream& out,
-                                           TelHeader* header = nullptr) {
-  auto ds = LoadAnyDatasetFile(path, flags.Has("directed"), header);
-  if (!ds.ok()) {
-    out << "error: " << ds.status().ToString() << "\n";
+/// Unwraps a loader's result (LoadTelFile, LoadQueryFile); prints the
+/// error and returns nullopt on failure.
+template <typename T>
+std::optional<T> Loaded(StatusOr<T> result, std::ostream& out) {
+  if (!result.ok()) {
+    out << "error: " << result.status().ToString() << "\n";
     return std::nullopt;
   }
-  const std::string labels = flags.GetString("labels");
-  if (!labels.empty()) {
-    const Status s = LoadVertexLabelFile(labels, &ds.value());
-    if (!s.ok()) {
-      out << "error: " << s.ToString() << "\n";
-      return std::nullopt;
-    }
-  }
-  return std::move(ds).value();
+  return std::move(result).value();
 }
 
-std::optional<QueryGraph> LoadQuery(const std::string& path,
-                                    std::ostream& out) {
-  auto q = LoadQueryFile(path);
-  if (!q.ok()) {
-    out << "error: " << q.status().ToString() << "\n";
-    return std::nullopt;
-  }
-  return std::move(q).value();
-}
-
-/// Window precedence shared by run/replay: explicit flag, then the query
-/// file's `w` record, then the `.tel` header's window (0 = unresolved).
-Timestamp ResolveWindow(const FlagSet& flags, const QueryGraph& query,
-                        const TelHeader& header) {
-  const Timestamp flag = flags.GetInt("window", 0);
-  if (flag > 0) return flag;
-  if (query.window_hint() > 0) return query.window_hint();
-  return header.window;
-}
-
-/// Engine factory shared by run/replay; prints an error and returns null
-/// for unknown kinds.
+/// Engine factory of --engine; prints an error and returns null for
+/// unknown kinds.
 std::unique_ptr<ContinuousEngine> MakeCliEngine(const std::string& kind,
                                                 const QueryGraph& query,
                                                 const TemporalGraph& graph,
                                                 std::ostream& out) {
-  if (kind == "tcm") return std::make_unique<TcmEngine>(query, graph);
-  if (kind == "timing") return std::make_unique<TimingEngine>(query, graph);
-  if (kind == "symbi") {
-    return std::make_unique<PostFilterEngine>(query, graph);
-  }
-  if (kind == "local") {
-    return std::make_unique<LocalEnumEngine>(query, graph);
-  }
+  static const std::map<std::string, EngineKind> kKinds = {
+      {"tcm", EngineKind::kTcm},
+      {"timing", EngineKind::kTiming},
+      {"symbi", EngineKind::kSymbiPost},
+      {"local", EngineKind::kLocalEnum}};
+  const auto it = kKinds.find(kind);
+  if (it != kKinds.end()) return MakeEngine(it->second, query, graph);
   out << "error: unknown engine '" << kind << "'\n";
   return nullptr;
-}
-
-/// Parses --shards (clamped to >= 1) and enforces that sharded execution
-/// is only requested with the TCM engine — the only engine instantiated
-/// over the sharded graph view. Returns 0 after printing an error.
-size_t ResolveShards(const FlagSet& flags, const std::string& kind,
-                     std::ostream& out) {
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards", 1)));
-  if (shards > 1 && kind != "tcm") {
-    out << "error: --shards=" << shards
-        << " requires --engine=tcm (only the TCM engine reads through "
-           "the sharded graph view)\n";
-    return 0;
-  }
-  return shards;
-}
-
-/// --threads with a sharded-aware default: one pool lane per shard when
-/// sharding is requested, the serial 1 otherwise.
-size_t ResolveThreads(const FlagSet& flags, size_t shards) {
-  return static_cast<size_t>(std::max<int64_t>(
-      1, flags.GetInt("threads", static_cast<int64_t>(shards))));
 }
 
 /// Builds the synthetic dataset named by `kind` ("random" or a preset);
@@ -246,20 +210,7 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-void PrintStreamResult(const std::string& engine_name,
-                       const StreamResult& res, std::ostream& out) {
-  out << "engine=" << engine_name << " threads=" << res.num_threads
-      << " shards=" << res.num_shards << " events=" << res.events
-      << " occurred=" << res.occurred << " expired=" << res.expired
-      << " elapsed_ms=" << FormatDouble(res.elapsed_ms, 2)
-      << " peak_bytes=" << res.peak_memory_bytes
-      << " peak_at=" << res.peak_memory_event_index
-      << " adj_scanned=" << res.adj_entries_scanned
-      << " adj_matched=" << res.adj_entries_matched
-      << (res.completed ? "" : " (INCOMPLETE: limit hit)") << "\n";
-}
-
-/// Observability surface shared by run/replay: --metrics[=on|off],
+/// Observability surface of run/replay: --metrics[=on|off],
 /// --stats-every=N, --trace-out=FILE (DESIGN.md §11).
 struct ObsCliOptions {
   std::unique_ptr<Observability> obs;  // null = metrics off
@@ -423,16 +374,343 @@ std::string StagesJson(const MetricsSnapshot& snap) {
   return os.str();
 }
 
+/// Writes `ds` as a `.tel` stream to `path`, or straight to `out` with
+/// `-` (`tcsm gen ... | tcsm replay - q.tq`); a file gets a summary.
+int WriteDataset(const TemporalDataset& ds, const TelWriteOptions& opts,
+                 const std::string& path, std::ostream& out) {
+  const Status s =
+      path == "-" ? WriteTel(ds, opts, out) : SaveTelFile(ds, opts, path);
+  if (!s.ok()) {
+    out << "error: " << s.ToString() << "\n";
+    return 1;
+  }
+  if (path != "-") {
+    out << "wrote " << ds.NumEdges() << " edges / " << ds.NumVertices()
+        << " vertices to " << path << "\n";
+    PrintStats(ds, out);
+  }
+  return 0;
+}
+
+/// Opens `path` (`-` = stdin) as a `.tel` stream that declares its vertex
+/// universe up front, as `command` needs; null after printing an error.
+std::unique_ptr<StreamReader> OpenStream(const std::string& path,
+                                         const char* command,
+                                         std::ifstream* file,
+                                         std::ostream& out) {
+  std::istream* in = &std::cin;
+  if (path != "-") {
+    file->open(path, std::ios::binary);
+    if (!*file) {
+      out << "error: cannot open " << path << "\n";
+      return nullptr;
+    }
+    in = file;
+  }
+  auto reader =
+      std::make_unique<StreamReader>(*in, path == "-" ? "<stdin>" : path);
+  const Status s = reader->Init();
+  if (!s.ok()) {
+    out << "error: " << s.ToString() << "\n";
+    return nullptr;
+  }
+  if (!reader->has_vertex_universe()) {
+    out << "error: " << reader->source() << ": " << command
+        << " needs the vertex universe declared up front (vertices=N in "
+           "the header, or v records)\n";
+    return nullptr;
+  }
+  return reader;
+}
+
+/// The stream `run` and `replay` match queries against: its `.tel`
+/// header (directedness, window, expiry mode), schema and events.
+struct StreamInput {
+  std::string name;
+  TelHeader header;
+  GraphSchema schema;
+  EventSource* events = nullptr;
+};
+
+/// The matching body shared by `run` and `replay`: loads the query files
+/// named after the stream, attaches one engine per query, drives the
+/// stream through the one stream driver and reports the result.
+int MatchQueries(const FlagSet& flags, const StreamInput& in,
+                 std::ostream& out) {
+  std::vector<QueryGraph> queries;
+  std::vector<std::string> query_paths(flags.positional().begin() + 1,
+                                       flags.positional().end());
+  for (const std::string& path : query_paths) {
+    auto q = Loaded(LoadQueryFile(path), out);
+    if (!q) return 1;
+    if (q->directed() != in.header.directed) {
+      out << "error: " << path
+          << ": query and stream directedness differ\n";
+      return 1;
+    }
+    if (flags.Has("seek-ts") && !q->absences().empty()) {
+      // A seeked replay never sees the arrivals before the seek point, so
+      // a violating edge there cannot kill a pending match born after it
+      // (DESIGN.md §12): the result would not be comparable to a full
+      // replay's.
+      out << "error: " << path
+          << ": --seek-ts cannot replay absence predicates (violations "
+             "before the seek point would be missed); replay the whole "
+             "stream\n";
+      return 1;
+    }
+    queries.push_back(std::move(*q));
+  }
+  const bool json = flags.Has("json");
+  // Absence predicates defer emission (DESIGN.md §12) — worth a header
+  // line so a reordered match stream isn't mistaken for nondeterminism.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (json) break;
+    const size_t ng = queries[i].gaps().size();
+    const size_t na = queries[i].absences().size();
+    if (ng == 0 && na == 0) continue;
+    out << "note: " << query_paths[i] << " carries " << ng
+        << " gap bound(s), " << na
+        << " absence predicate(s) (absence defers emission)\n";
+  }
+  const std::string kind = flags.GetString("engine", "tcm");
+  const size_t shards =
+      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards", 1)));
+  if (shards > 1 && kind != "tcm") {
+    out << "error: --shards=" << shards
+        << " requires --engine=tcm (only the TCM engine reads through "
+           "the sharded graph view)\n";
+    return 1;
+  }
+  // One pool lane per shard by default, the serial 1 otherwise.
+  const size_t threads = static_cast<size_t>(std::max<int64_t>(
+      1, flags.GetInt("threads", static_cast<int64_t>(shards))));
+  // --json promises machine-readable stdout: exactly one JSON line, so
+  // the advisory chatter below is suppressed under it.
+  if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {
+    // Fan-out shards *engines*; one query attaches exactly one, so the
+    // run stays serial however many workers the pool has. (--shards=N is
+    // different: it splits the graph maintenance itself.)
+    out << "note: one query attaches a single engine; --threads=" << threads
+        << " cannot speed up one engine (pass several query files)\n";
+  }
+
+  // The context owns the shared sliding-window graph — one canonical
+  // graph, or a vertex-partitioned set of shard graphs under --shards.
+  // Engines are read-only views attached to it. At --threads=1 (the
+  // default) the parallel context spawns no workers and is the serial
+  // context.
+  std::unique_ptr<SharedStreamContext> context;
+  ShardedStreamContext* sharded = nullptr;
+  if (shards > 1) {
+    auto c = std::make_unique<ShardedStreamContext>(in.schema, shards,
+                                                    threads);
+    sharded = c.get();
+    context = std::move(c);
+  } else {
+    context = std::make_unique<ParallelStreamContext>(in.schema, threads);
+  }
+  std::vector<std::unique_ptr<ContinuousEngine>> engines;
+  std::vector<std::unique_ptr<MatchSink>> owned_sinks;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::unique_ptr<ContinuousEngine> engine =
+        sharded != nullptr
+            ? std::make_unique<ShardedTcmEngine>(queries[i], sharded->view())
+            : MakeCliEngine(kind, queries[i], context->graph(), out);
+    if (!engine) return 1;
+    MatchSink* sink = nullptr;
+    if (flags.Has("print")) {
+      // Single-query output is one line per match; with several queries
+      // each line is prefixed by its query index.
+      const std::string prefix =
+          queries.size() == 1 ? "" : "q" + std::to_string(i) + " ";
+      owned_sinks.push_back(std::make_unique<StreamPrintSink>(out, prefix));
+      sink = owned_sinks.back().get();
+    }
+    if (flags.Has("canonical")) {
+      // Collapse automorphic mappings to one pattern instance (over a
+      // counting sink when nothing is printed).
+      if (sink == nullptr) {
+        owned_sinks.push_back(std::make_unique<CountingSink>());
+        sink = owned_sinks.back().get();
+      }
+      owned_sinks.push_back(
+          std::make_unique<CanonicalSink>(queries[i], sink));
+      sink = owned_sinks.back().get();
+      if (!json) {
+        out << "automorphism group size: "
+            << static_cast<CanonicalSink*>(sink)->GroupSize() << "\n";
+      }
+    }
+    if (sink != nullptr) engine->set_sink(sink);
+    if (sharded != nullptr) {
+      // Contiguous engine -> shard placement (shard-monotone in attach
+      // order), so the global match stream keeps the serial attach order
+      // (DESIGN.md §10).
+      sharded->AttachToShard(i * shards / queries.size(), engine.get());
+    } else {
+      context->Attach(engine.get());
+    }
+    engines.push_back(std::move(engine));
+  }
+
+  // Window precedence: explicit flag, then the query files' `w` records,
+  // then the stream's own (the `.tel` header). When no --window is
+  // passed, two queries recording different windows is an error the user
+  // must break explicitly, not a silent pick of the first file's value.
+  const Timestamp window_flag = flags.GetInt("window", 0);
+  Timestamp hint = 0;
+  for (size_t i = 0; i < queries.size() && window_flag <= 0; ++i) {
+    const Timestamp w = queries[i].window_hint();
+    if (w <= 0) continue;
+    if (hint == 0) {
+      hint = w;
+    } else if (hint != w) {
+      out << "error: query files disagree on their recorded windows ("
+          << hint << " vs " << w << " in " << query_paths[i]
+          << "); pass --window=w explicitly\n";
+      return 1;
+    }
+  }
+  if (in.header.explicit_expiry && window_flag > 0 && !json) {
+    out << "note: " << in.name
+        << " carries its own expiry schedule (expiry=explicit); "
+           "--window is ignored\n";
+  }
+  ObsCliOptions obs;
+  if (!ResolveObsFlags(flags, out, &obs)) return 1;
+  StreamConfig opts;
+  opts.window = window_flag > 0 ? window_flag
+                : hint > 0      ? hint
+                                : in.header.window;
+
+  // Flight recorder: retain the last N arrivals in memory and dump them
+  // as a replayable .tel on exit — including the error exit, where the
+  // dump is the reproducer.
+  const int64_t flight_cap = flags.GetInt("flight-record", 0);
+  const std::string flight_path = flags.GetString("flight-dump");
+  if ((flight_cap > 0) != !flight_path.empty()) {
+    out << "error: --flight-record=N and --flight-dump=FILE go together\n";
+    return 1;
+  }
+  if (flags.Has("flight-record") && flight_cap <= 0) {
+    out << "error: --flight-record must be > 0\n";
+    return 1;
+  }
+  const std::string flight_format = flags.GetString("flight-format", "text");
+  if (flight_format != "text" && flight_format != "binary") {
+    out << "error: bad --flight-format (expected 'text' or 'binary')\n";
+    return 1;
+  }
+  if (flags.Has("flight-format") && flight_cap <= 0) {
+    out << "error: --flight-format requires --flight-record/--flight-dump\n";
+    return 1;
+  }
+  std::unique_ptr<FlightRecorder> recorder;
+  if (flight_cap > 0) {
+    recorder = std::make_unique<FlightRecorder>(
+        in.schema, opts.window, static_cast<size_t>(flight_cap));
+    opts.recorder = recorder.get();
+  }
+  const auto dump_flight = [&]() -> bool {
+    if (recorder == nullptr) return true;
+    const Status ds =
+        recorder->DumpTelFile(flight_path, flight_format == "binary");
+    if (!ds.ok()) {
+      out << "error: " << ds.ToString() << "\n";
+      return false;
+    }
+    if (!json) {
+      out << "flight recorder: dumped " << recorder->size() << " of "
+          << recorder->total_recorded() << " arrivals to " << flight_path
+          << "\n";
+    }
+    return true;
+  };
+  opts.time_limit_ms = flags.GetDouble("limit_ms", 0);
+  opts.max_arrivals =
+      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("max-events", 0)));
+  opts.obs = obs.obs.get();
+  opts.stats_every = obs.stats_every;
+  // Under --json each stats tick is its own {"type":"stats",...} line
+  // ahead of the final summary line, so stdout stays line-parseable.
+  opts.stats_json = json;
+  opts.stats_out = &out;
+  auto res = DriveStream(in.events, opts, context.get());
+  if (!res.ok()) {
+    out << "error: " << res.status().ToString() << "\n";
+    dump_flight();  // the retained window is the reproducer
+    return 1;
+  }
+  const StreamResult& r = res.value();
+  if (json) {
+    out << "{\"stream\":\"" << JsonEscape(in.name)
+        << "\",\"engine\":\"" << kind
+        << "\",\"threads\":" << r.num_threads
+        << ",\"shards\":" << r.num_shards << ",\"events\":" << r.events
+        << ",\"occurred\":" << r.occurred << ",\"expired\":" << r.expired
+        << ",\"elapsed_ms\":" << FormatDouble(r.elapsed_ms, 3)
+        << ",\"peak_bytes\":" << r.peak_memory_bytes
+        << ",\"peak_event_index\":" << r.peak_memory_event_index
+        << ",\"adj_scanned\":" << r.adj_entries_scanned
+        << ",\"adj_matched\":" << r.adj_entries_matched
+        << ",\"completed\":" << (r.completed ? "true" : "false");
+    if (obs.obs != nullptr) {
+      out << ",\"stages\":" << StagesJson(obs.obs->Snapshot());
+    }
+    out << ",\"queries\":[";
+    for (size_t i = 0; i < engines.size(); ++i) {
+      const EngineCounters& c = engines[i]->counters();
+      out << (i == 0 ? "" : ",") << "{\"file\":\""
+          << JsonEscape(query_paths[i]) << "\",\"occurred\":" << c.occurred
+          << ",\"expired\":" << c.expired
+          << ",\"gaps\":" << queries[i].gaps().size()
+          << ",\"absence\":" << queries[i].absences().size() << "}";
+    }
+    out << "]}\n";
+  } else {
+    out << "engine=" << engines[0]->name() << " threads=" << r.num_threads
+        << " shards=" << r.num_shards << " events=" << r.events
+        << " occurred=" << r.occurred << " expired=" << r.expired
+        << " elapsed_ms=" << FormatDouble(r.elapsed_ms, 2)
+        << " peak_bytes=" << r.peak_memory_bytes
+        << " peak_at=" << r.peak_memory_event_index
+        << " adj_scanned=" << r.adj_entries_scanned
+        << " adj_matched=" << r.adj_entries_matched
+        << (r.completed ? "" : " (INCOMPLETE: limit hit)") << "\n";
+    if (engines.size() > 1) {
+      for (size_t i = 0; i < engines.size(); ++i) {
+        const EngineCounters& c = engines[i]->counters();
+        out << "  q" << i << " " << query_paths[i]
+            << " occurred=" << c.occurred << " expired=" << c.expired
+            << " gaps=" << queries[i].gaps().size()
+            << " absence=" << queries[i].absences().size() << "\n";
+      }
+    }
+  }
+  if (!dump_flight()) return 1;
+  if (FinishObs(obs, json, out) != 0) return 1;
+  return r.completed ? 0 : 3;
+}
+
+/// Flags of the matching body, shared by the run and replay usage lines.
+constexpr const char* kMatchFlagsUsage =
+    "[--window=w] [--threads=N] [--shards=N] [--max-events=N] "
+    "[--limit_ms=T] [--engine=tcm|timing|symbi|local] [--print] "
+    "[--canonical] [--json] [--flight-record=N --flight-dump=FILE "
+    "[--flight-format=text|binary]] [--metrics[=on|off]] "
+    "[--stats-every=N] [--trace-out=FILE]";
+
 }  // namespace
 
 int CmdStats(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() != 1) {
-    out << "usage: tcsm stats <dataset> [--directed] [--labels=file]\n";
+    out << "usage: tcsm stats <stream.tel>\n";
     return 2;
   }
   if (RejectObsFlags(flags, "stats", out)) return 2;
-  const auto ds = LoadDataset(flags, flags.positional()[0], out);
+  const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
   PrintStats(*ds, out);
   return 0;
@@ -467,70 +745,61 @@ int CmdGen(const Args& args, std::ostream& out) {
     out << "error: bad --expiry (expected 'derived' or 'explicit')\n";
     return 1;
   }
-  const std::string path = flags.positional().size() == 2
-                               ? flags.positional()[1]
-                               : std::string("-");
-  Status s;
-  if (path == "-") {
-    // Stream straight to the caller: `tcsm gen ... | tcsm replay - q.tq`.
-    s = WriteTel(*ds, opts, out);
-  } else {
-    s = SaveTelFile(*ds, opts, path);
-    if (s.ok()) {
-      out << "wrote " << ds->NumEdges() << " edges / " << ds->NumVertices()
-          << " vertices to " << path << "\n";
-      PrintStats(*ds, out);
-    }
-  }
-  if (!s.ok()) {
-    out << "error: " << s.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  return WriteDataset(
+      *ds, opts,
+      flags.positional().size() == 2 ? flags.positional()[1] : "-", out);
 }
 
 int CmdConvert(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() != 2) {
-    out << "usage: tcsm convert <in.tel|-> <out.tel|-> "
-           "[--format=binary|text] [--varint=on|off] [--block-records=N]\n"
-           "   default --format is the opposite framing of the input\n";
+    out << "usage: tcsm convert <in|-> <out.tel|-> [--format=binary|text] "
+           "[--varint=on|off] [--block-records=N] [--directed] "
+           "[--labels=file]\n"
+           "   <in> is a .tel stream (default --format: the opposite "
+           "framing) or a legacy edge list `src dst ts [label]` (default "
+           "--format: text; --directed and --labels=file apply to it)\n";
     return 2;
   }
   if (RejectObsFlags(flags, "convert", out)) return 2;
   const std::string in_path = flags.positional()[0];
   const std::string out_path = flags.positional()[1];
-  std::ifstream in_file;
-  std::istream* in = &std::cin;
-  if (in_path != "-") {
-    in_file.open(in_path, std::ios::binary);
-    if (!in_file) {
-      out << "error: cannot open " << in_path << "\n";
+  if (in_path != "-" && !SniffTelFile(in_path)) {
+    // A legacy edge list is loaded whole (it needs sorting) and written
+    // the way `gen` writes a stream.
+    auto ds = LoadEdgeListFile(in_path, flags.Has("directed"));
+    Status s = ds.status();
+    const std::string labels = flags.GetString("labels");
+    if (s.ok() && !labels.empty()) {
+      s = LoadVertexLabelFile(labels, &ds.value());
+    }
+    if (!s.ok()) {
+      out << "error: " << s.ToString() << "\n";
       return 1;
     }
-    in = &in_file;
+    TelWriteOptions opts;
+    if (!ResolveTelFormatFlags(flags, /*default_binary=*/false, &opts, out)) {
+      return 1;
+    }
+    return WriteDataset(ds.value(), opts, out_path, out);
   }
-  StreamReader reader(*in, in_path == "-" ? "<stdin>" : in_path);
-  Status s = reader.Init();
-  if (!s.ok()) {
-    out << "error: " << s.ToString() << "\n";
+  if (flags.Has("directed") || flags.Has("labels")) {
+    out << "error: --directed/--labels only apply to an edge-list input; "
+           "a .tel stream carries its own\n";
     return 1;
   }
-  if (!reader.has_vertex_universe()) {
-    out << "error: " << reader.source()
-        << ": convert needs the vertex universe declared up front "
-           "(vertices=N in the header, or v records)\n";
-    return 1;
-  }
+  std::ifstream in_file;
+  const auto reader = OpenStream(in_path, "convert", &in_file, out);
+  if (reader == nullptr) return 1;
   TelWriteOptions opts;
-  if (!ResolveTelFormatFlags(flags, /*default_binary=*/!reader.binary(),
+  if (!ResolveTelFormatFlags(flags, /*default_binary=*/!reader->binary(),
                              &opts, out)) {
     return 1;
   }
   // The header carries over wholesale: convert changes the framing, never
   // the stream it frames.
-  opts.window = reader.header().window;
-  opts.explicit_expiry = reader.header().explicit_expiry;
+  opts.window = reader->header().window;
+  opts.explicit_expiry = reader->header().explicit_expiry;
 
   std::ofstream out_file;
   std::ostream* sink = &out;
@@ -543,13 +812,13 @@ int CmdConvert(const Args& args, std::ostream& out) {
     sink = &out_file;
   }
   StreamWriter writer(*sink);
-  s = writer.BeginStream(reader.header().directed, reader.vertex_labels(),
-                         opts);
+  Status s = writer.BeginStream(reader->header().directed,
+                                reader->vertex_labels(), opts);
   uint64_t records = 0;
   while (s.ok()) {
     StreamRecord rec;
     bool done = false;
-    s = reader.Next(&rec, &done);
+    s = reader->Next(&rec, &done);
     if (!s.ok() || done) break;
     ++records;
     s = rec.kind == StreamRecord::Kind::kArrival
@@ -565,53 +834,22 @@ int CmdConvert(const Args& args, std::ostream& out) {
     // Stdout output gets no summary: `convert - -` sits in pipelines and
     // its stdout is the stream itself.
     out << "converted " << records << " records ("
-        << (reader.binary() ? "binary" : "text") << " -> "
+        << (reader->binary() ? "binary" : "text") << " -> "
         << (opts.binary ? "binary" : "text") << ") to " << out_path << "\n";
   }
-  return 0;
-}
-
-int CmdGenData(const Args& args, std::ostream& out) {
-  const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm gen-data <preset|random> <out-file> [--scale=S] "
-           "[--seed=K] [--vertices=N --edges=M --vlabels=a --elabels=b "
-           "--parallel=p --coalesce=c --directed]\n   presets: ";
-    for (const auto& p : PresetNames()) out << p << " ";
-    out << "\n";
-    return 2;
-  }
-  if (RejectObsFlags(flags, "gen-data", out)) return 2;
-  const std::string path = flags.positional()[1];
-  const auto ds = BuildSynthetic(flags, flags.positional()[0], out);
-  if (!ds) return 1;
-  const Status s = SaveEdgeListFile(*ds, path);
-  if (!s.ok()) {
-    out << "error: " << s.ToString() << "\n";
-    return 1;
-  }
-  // Vertex labels go to a sibling file.
-  std::ofstream lf(path + ".labels");
-  for (size_t v = 0; v < ds->vertex_labels.size(); ++v) {
-    lf << v << ' ' << ds->vertex_labels[v] << '\n';
-  }
-  out << "wrote " << ds->NumEdges() << " edges / " << ds->NumVertices()
-      << " vertices to " << path << " (+ " << path << ".labels)\n";
-  PrintStats(*ds, out);
   return 0;
 }
 
 int CmdGenQuery(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() != 2) {
-    out << "usage: tcsm gen-query <dataset> <out-file> [--size=m] "
-           "[--density=d] [--window=w] [--seed=K] [--directed] "
-           "[--labels=file] [--gaps=p] [--gap-slack=s] [--absence=n] "
-           "[--absence-delta=d]\n";
+    out << "usage: tcsm gen-query <stream.tel> <out-file> [--size=m] "
+           "[--density=d] [--window=w] [--seed=K] [--gaps=p] "
+           "[--gap-slack=s] [--absence=n] [--absence-delta=d]\n";
     return 2;
   }
   if (RejectObsFlags(flags, "gen-query", out)) return 2;
-  const auto ds = LoadDataset(flags, flags.positional()[0], out);
+  const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
   QueryGenOptions opt;
   opt.num_edges = static_cast<size_t>(flags.GetInt("size", 5));
@@ -642,373 +880,67 @@ int CmdGenQuery(const Args& args, std::ostream& out) {
 
 int CmdRun(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
-  if (flags.positional().size() != 2) {
-    out << "usage: tcsm run <dataset> <query-file> [--window=w] "
-           "[--directed] [--labels=file] [--limit_ms=T] [--threads=N] "
-           "[--shards=N] [--engine=tcm|timing|symbi|local] [--print] "
-           "[--canonical] [--metrics[=on|off]] [--stats-every=N] "
-           "[--trace-out=FILE]\n";
+  if (flags.positional().size() < 2) {
+    out << "usage: tcsm run <stream.tel> <query-file>... "
+        << kMatchFlagsUsage << "\n";
     return 2;
   }
-  TelHeader header;
-  const auto ds = LoadDataset(flags, flags.positional()[0], out, &header);
+  if (flags.Has("seek-ts")) {
+    out << "error: --seek-ts only applies to replay\n";
+    return 1;
+  }
+  StreamInput in;
+  const auto ds = Loaded(LoadTelFile(flags.positional()[0], &in.header), out);
   if (!ds) return 1;
-  const auto q = LoadQuery(flags.positional()[1], out);
-  if (!q) return 1;
-  if (q->directed() != ds->directed) {
-    out << "error: query and data graph directedness differ\n";
-    return 1;
-  }
-  const Timestamp window = ResolveWindow(flags, *q, header);
-  if (window <= 0) {
-    out << "error: no window (pass --window=w, or use a query/.tel file "
-           "that records one)\n";
-    return 1;
-  }
-  if (window > kMaxTelTimestamp) {  // ts + window must not overflow
-    out << "error: window too large (must stay below 2^61)\n";
-    return 1;
-  }
-  const std::string kind = flags.GetString("engine", "tcm");
-  const size_t shards = ResolveShards(flags, kind, out);
-  if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
-  if (threads > 1 && shards == 1) {
-    // Fan-out shards *engines*; this subcommand attaches exactly one, so
-    // the run stays serial however many workers the pool has. Say so,
-    // rather than letting the header's threads= field suggest a parallel
-    // measurement. (--shards=N is different: it splits the graph
-    // maintenance itself, which parallelizes even for one engine.)
-    out << "note: run attaches a single engine; --threads=" << threads
-        << " shards per-engine work and cannot speed up one engine\n";
-  }
-
-  // The context owns the shared sliding-window graph — one canonical
-  // graph, or a vertex-partitioned set of shard graphs under --shards.
-  // The engine is a read-only view attached to it. At --threads=1 (the
-  // default) the parallel context spawns no workers and is the serial
-  // context.
-  const GraphSchema schema{ds->directed, ds->vertex_labels};
-  std::unique_ptr<SharedStreamContext> context;
-  std::unique_ptr<ContinuousEngine> engine;
-  if (shards > 1) {
-    auto sharded =
-        std::make_unique<ShardedStreamContext>(schema, shards, threads);
-    engine = std::make_unique<ShardedTcmEngine>(*q, sharded->view());
-    context = std::move(sharded);
-  } else {
-    auto parallel = std::make_unique<ParallelStreamContext>(schema, threads);
-    engine = MakeCliEngine(kind, *q, parallel->graph(), out);
-    context = std::move(parallel);
-  }
-  if (!engine) return 1;
-  context->Attach(engine.get());
-
-  StreamPrintSink print_sink(out);
-  CountingSink counting_sink;
-  MatchSink* sink = flags.Has("print")
-                        ? static_cast<MatchSink*>(&print_sink)
-                        : static_cast<MatchSink*>(&counting_sink);
-  // --canonical: collapse automorphic mappings to one pattern instance.
-  std::unique_ptr<CanonicalSink> canonical;
-  if (flags.Has("canonical")) {
-    canonical = std::make_unique<CanonicalSink>(*q, sink);
-    out << "automorphism group size: " << canonical->GroupSize() << "\n";
-    sink = canonical.get();
-  }
-  engine->set_sink(sink);
-  ObsCliOptions obs;
-  if (!ResolveObsFlags(flags, out, &obs)) return 1;
-  StreamConfig config;
-  config.window = window;
-  config.time_limit_ms = flags.GetDouble("limit_ms", 0);
-  config.obs = obs.obs.get();
-  config.stats_every = obs.stats_every;
-  config.stats_out = &out;
-  const StreamResult res = RunStream(*ds, config, context.get());
-  PrintStreamResult(engine->name(), res, out);
-  if (FinishObs(obs, /*json=*/false, out) != 0) return 1;
-  return res.completed ? 0 : 3;
+  // A loaded dataset holds the arrivals only (x records are validated and
+  // dropped), so its expirations derive from the window.
+  in.header.explicit_expiry = false;
+  DatasetEventSource events(*ds);
+  in.name = ds->name;
+  in.schema = GraphSchema{ds->directed, ds->vertex_labels};
+  in.events = &events;
+  return MatchQueries(flags, in, out);
 }
 
 int CmdReplay(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() < 2) {
-    out << "usage: tcsm replay <stream.tel|-> <query-file>... [--window=w] "
-           "[--threads=N] [--shards=N] [--max-events=N] [--limit_ms=T] "
-           "[--engine=tcm|timing|symbi|local] [--print] [--canonical] "
-           "[--json] [--seek-ts=T] [--flight-record=N --flight-dump=FILE "
-           "[--flight-format=text|binary]] [--metrics[=on|off]] "
-           "[--stats-every=N] [--trace-out=FILE]\n";
+    out << "usage: tcsm replay <stream.tel|-> <query-file>... "
+        << kMatchFlagsUsage << " [--seek-ts=T]\n";
     return 2;
   }
-  const std::string stream_path = flags.positional()[0];
   std::ifstream file;
-  std::istream* in = &std::cin;
-  if (stream_path != "-") {
-    file.open(stream_path, std::ios::binary);
-    if (!file) {
-      out << "error: cannot open " << stream_path << "\n";
-      return 1;
-    }
-    in = &file;
-  }
-  StreamReader reader(*in, stream_path == "-" ? "<stdin>" : stream_path);
-  Status s = reader.Init();
-  if (!s.ok()) {
-    out << "error: " << s.ToString() << "\n";
-    return 1;
-  }
-  if (!reader.has_vertex_universe()) {
-    out << "error: " << reader.source()
-        << ": streaming replay needs the vertex universe declared up "
-           "front (vertices=N in the header, or v records)\n";
-    return 1;
-  }
+  const auto reader =
+      OpenStream(flags.positional()[0], "streaming replay", &file, out);
+  if (reader == nullptr) return 1;
   if (flags.Has("seek-ts")) {
     // O(1) reposition off the binary index footer: replay then delivers
     // exactly the suffix of the full replay's event schedule (matches
     // included, once the window has refilled past the gap).
-    s = reader.SeekToTimestamp(flags.GetInt("seek-ts", 0));
+    const Status s = reader->SeekToTimestamp(flags.GetInt("seek-ts", 0));
     if (!s.ok()) {
       out << "error: " << s.ToString() << "\n";
       return 1;
     }
   }
-
-  std::vector<QueryGraph> queries;
-  std::vector<std::string> query_paths(flags.positional().begin() + 1,
-                                       flags.positional().end());
-  for (const std::string& path : query_paths) {
-    auto q = LoadQuery(path, out);
-    if (!q) return 1;
-    if (q->directed() != reader.header().directed) {
-      out << "error: " << path
-          << ": query and stream directedness differ\n";
-      return 1;
-    }
-    queries.push_back(std::move(*q));
-  }
-  const bool json = flags.Has("json");
-  // Absence predicates defer emission (DESIGN.md §12) — worth a header
-  // line so a reordered match stream isn't mistaken for nondeterminism.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (json) break;
-    const size_t ng = queries[i].gaps().size();
-    const size_t na = queries[i].absences().size();
-    if (ng == 0 && na == 0) continue;
-    out << "note: " << query_paths[i] << " carries " << ng
-        << " gap bound(s), " << na
-        << " absence predicate(s) (absence defers emission)\n";
-  }
-  const std::string kind = flags.GetString("engine", "tcm");
-  const size_t shards = ResolveShards(flags, kind, out);
-  if (shards == 0) return 1;
-  const size_t threads = ResolveThreads(flags, shards);
-  // --json promises machine-readable stdout: exactly one JSON line, so
-  // the advisory chatter below is suppressed under it.
-  if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {
-    out << "note: one query attaches a single engine; --threads=" << threads
-        << " cannot speed up one engine (pass several query files)\n";
-  }
-
-  std::unique_ptr<SharedStreamContext> context;
-  ShardedStreamContext* sharded = nullptr;
-  if (shards > 1) {
-    auto c = std::make_unique<ShardedStreamContext>(reader.schema(), shards,
-                                                    threads);
-    sharded = c.get();
-    context = std::move(c);
-  } else {
-    context =
-        std::make_unique<ParallelStreamContext>(reader.schema(), threads);
-  }
-  std::vector<std::unique_ptr<ContinuousEngine>> engines;
-  std::vector<std::unique_ptr<MatchSink>> owned_sinks;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::unique_ptr<ContinuousEngine> engine =
-        sharded != nullptr
-            ? std::make_unique<ShardedTcmEngine>(queries[i], sharded->view())
-            : MakeCliEngine(kind, queries[i], context->graph(), out);
-    if (!engine) return 1;
-    MatchSink* sink = nullptr;
-    if (flags.Has("print")) {
-      // Single-query output is byte-compatible with `run --print`; with
-      // several queries each line is prefixed by its query index.
-      const std::string prefix =
-          queries.size() == 1 ? "" : "q" + std::to_string(i) + " ";
-      owned_sinks.push_back(std::make_unique<StreamPrintSink>(out, prefix));
-      sink = owned_sinks.back().get();
-    }
-    if (flags.Has("canonical")) {
-      // Same semantics as `run --canonical`: collapse automorphic
-      // mappings (over a counting sink when nothing is printed).
-      if (sink == nullptr) {
-        owned_sinks.push_back(std::make_unique<CountingSink>());
-        sink = owned_sinks.back().get();
-      }
-      owned_sinks.push_back(
-          std::make_unique<CanonicalSink>(queries[i], sink));
-      sink = owned_sinks.back().get();
-      if (!json) {
-        out << "automorphism group size: "
-            << static_cast<CanonicalSink*>(sink)->GroupSize() << "\n";
-      }
-    }
-    if (sink != nullptr) engine->set_sink(sink);
-    if (sharded != nullptr) {
-      // Contiguous engine -> shard placement (shard-monotone in attach
-      // order), so the global match stream keeps the serial attach order
-      // (DESIGN.md §10).
-      sharded->AttachToShard(i * shards / queries.size(), engine.get());
-    } else {
-      context->Attach(engine.get());
-    }
-    engines.push_back(std::move(engine));
-  }
-
-  // Window precedence as in `run`, except every query file gets a say:
-  // when no --window is passed, two queries recording different w
-  // windows is an error the user must break explicitly, not a silent
-  // pick of the first file's value.
-  const Timestamp window_flag = flags.GetInt("window", 0);
-  Timestamp hint = 0;
-  for (size_t i = 0; i < queries.size() && window_flag <= 0; ++i) {
-    const Timestamp w = queries[i].window_hint();
-    if (w <= 0) continue;
-    if (hint == 0) {
-      hint = w;
-    } else if (hint != w) {
-      out << "error: query files disagree on their recorded windows ("
-          << hint << " vs " << w << " in " << query_paths[i]
-          << "); pass --window=w explicitly\n";
-      return 1;
-    }
-  }
-  if (reader.header().explicit_expiry && window_flag > 0 && !json) {
-    out << "note: " << reader.source()
-        << " carries its own expiry schedule (expiry=explicit); "
-           "--window is ignored\n";
-  }
-  ObsCliOptions obs;
-  if (!ResolveObsFlags(flags, out, &obs)) return 1;
-  ReplayOptions opts;
-  opts.window = window_flag > 0 ? window_flag : hint;
-
-  // Flight recorder: retain the last N arrivals in memory and dump them
-  // as a replayable .tel on exit — including the error exit, where the
-  // dump is the reproducer.
-  const int64_t flight_cap = flags.GetInt("flight-record", 0);
-  const std::string flight_path = flags.GetString("flight-dump");
-  if ((flight_cap > 0) != !flight_path.empty()) {
-    out << "error: --flight-record=N and --flight-dump=FILE go together\n";
-    return 1;
-  }
-  if (flags.Has("flight-record") && flight_cap <= 0) {
-    out << "error: --flight-record must be > 0\n";
-    return 1;
-  }
-  const std::string flight_format = flags.GetString("flight-format", "text");
-  if (flight_format != "text" && flight_format != "binary") {
-    out << "error: bad --flight-format (expected 'text' or 'binary')\n";
-    return 1;
-  }
-  if (flags.Has("flight-format") && flight_cap <= 0) {
-    out << "error: --flight-format requires --flight-record/--flight-dump\n";
-    return 1;
-  }
-  std::unique_ptr<FlightRecorder> recorder;
-  if (flight_cap > 0) {
-    const Timestamp flight_window =
-        opts.window > 0 ? opts.window : reader.header().window;
-    recorder = std::make_unique<FlightRecorder>(
-        reader.schema(), flight_window, static_cast<size_t>(flight_cap));
-    opts.recorder = recorder.get();
-  }
-  const auto dump_flight = [&]() -> bool {
-    if (recorder == nullptr) return true;
-    const Status ds =
-        recorder->DumpTelFile(flight_path, flight_format == "binary");
-    if (!ds.ok()) {
-      out << "error: " << ds.ToString() << "\n";
-      return false;
-    }
-    if (!json) {
-      out << "flight recorder: dumped " << recorder->size() << " of "
-          << recorder->total_recorded() << " arrivals to " << flight_path
-          << "\n";
-    }
-    return true;
-  };
-  opts.time_limit_ms = flags.GetDouble("limit_ms", 0);
-  opts.max_arrivals =
-      static_cast<size_t>(std::max<int64_t>(0, flags.GetInt("max-events", 0)));
-  opts.obs = obs.obs.get();
-  opts.stats_every = obs.stats_every;
-  // Under --json each stats tick is its own {"type":"stats",...} line
-  // ahead of the final summary line, so stdout stays line-parseable.
-  opts.stats_json = json;
-  opts.stats_out = &out;
-  auto res = ReplayStream(&reader, opts, context.get());
-  if (!res.ok()) {
-    out << "error: " << res.status().ToString() << "\n";
-    dump_flight();  // the retained window is the reproducer
-    return 1;
-  }
-  const StreamResult& r = res.value();
-  if (json) {
-    out << "{\"stream\":\"" << JsonEscape(reader.source())
-        << "\",\"engine\":\"" << kind
-        << "\",\"threads\":" << r.num_threads
-        << ",\"shards\":" << r.num_shards << ",\"events\":" << r.events
-        << ",\"occurred\":" << r.occurred << ",\"expired\":" << r.expired
-        << ",\"elapsed_ms\":" << FormatDouble(r.elapsed_ms, 3)
-        << ",\"peak_bytes\":" << r.peak_memory_bytes
-        << ",\"peak_event_index\":" << r.peak_memory_event_index
-        << ",\"adj_scanned\":" << r.adj_entries_scanned
-        << ",\"adj_matched\":" << r.adj_entries_matched
-        << ",\"completed\":" << (r.completed ? "true" : "false");
-    if (obs.obs != nullptr) {
-      out << ",\"stages\":" << StagesJson(obs.obs->Snapshot());
-    }
-    out << ",\"queries\":[";
-    for (size_t i = 0; i < engines.size(); ++i) {
-      const EngineCounters& c = engines[i]->counters();
-      out << (i == 0 ? "" : ",") << "{\"file\":\""
-          << JsonEscape(query_paths[i]) << "\",\"occurred\":" << c.occurred
-          << ",\"expired\":" << c.expired
-          << ",\"gaps\":" << queries[i].gaps().size()
-          << ",\"absence\":" << queries[i].absences().size() << "}";
-    }
-    out << "]}\n";
-  } else {
-    PrintStreamResult(engines[0]->name(), r, out);
-    if (engines.size() > 1) {
-      for (size_t i = 0; i < engines.size(); ++i) {
-        const EngineCounters& c = engines[i]->counters();
-        out << "  q" << i << " " << query_paths[i]
-            << " occurred=" << c.occurred << " expired=" << c.expired
-            << " gaps=" << queries[i].gaps().size()
-            << " absence=" << queries[i].absences().size() << "\n";
-      }
-    }
-  }
-  if (!dump_flight()) return 1;
-  if (FinishObs(obs, json, out) != 0) return 1;
-  return r.completed ? 0 : 3;
+  ReaderEventSource events(reader.get());
+  return MatchQueries(flags,
+                      StreamInput{reader->source(), reader->header(),
+                                  reader->schema(), &events},
+                      out);
 }
 
 int CmdSnapshot(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
   if (flags.positional().size() != 2) {
-    out << "usage: tcsm snapshot <dataset> <query-file> [--window=w] "
-           "[--directed] [--labels=file] [--limit_ms=T] [--print]\n";
+    out << "usage: tcsm snapshot <stream.tel> <query-file> [--window=w] "
+           "[--limit_ms=T] [--print]\n";
     return 2;
   }
   if (RejectObsFlags(flags, "snapshot", out)) return 2;
-  const auto ds = LoadDataset(flags, flags.positional()[0], out);
+  const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
-  const auto q = LoadQuery(flags.positional()[1], out);
+  const auto q = Loaded(LoadQueryFile(flags.positional()[1]), out);
   if (!q) return 1;
   SnapshotOptions opt;
   opt.window = flags.GetInt("window", 0);
@@ -1034,11 +966,12 @@ int Main(int argc, char** argv, std::ostream& out, std::ostream& err) {
            "subcommands:\n"
            "  stats      dataset characteristics\n"
            "  gen        synthesize a stream as a .tel file (or stdout)\n"
-           "  convert    re-frame a .tel stream (text <-> binary v2)\n"
-           "  gen-data   synthesize a legacy edge list (+ .labels)\n"
+           "  convert    re-frame a .tel stream (text <-> binary v2), or "
+           "turn a legacy edge list into one\n"
            "  gen-query  extract a temporal query by random walk\n"
-           "  run        continuous matching over an in-memory stream\n"
-           "  replay     file-driven continuous matching (.tel or stdin)\n"
+           "  run        continuous matching over a stream loaded into "
+           "memory\n"
+           "  replay     continuous matching read off a file or stdin\n"
            "  snapshot   one-shot matching over the full graph\n";
     return 2;
   };
@@ -1046,14 +979,18 @@ int Main(int argc, char** argv, std::ostream& out, std::ostream& err) {
   const std::string cmd = argv[1];
   Args rest;
   for (int i = 2; i < argc; ++i) rest.emplace_back(argv[i]);
-  if (cmd == "stats") return CmdStats(rest, out);
-  if (cmd == "gen") return CmdGen(rest, out);
-  if (cmd == "convert") return CmdConvert(rest, out);
-  if (cmd == "gen-data") return CmdGenData(rest, out);
-  if (cmd == "gen-query") return CmdGenQuery(rest, out);
-  if (cmd == "run") return CmdRun(rest, out);
-  if (cmd == "replay") return CmdReplay(rest, out);
-  if (cmd == "snapshot") return CmdSnapshot(rest, out);
+  try {
+    if (cmd == "stats") return CmdStats(rest, out);
+    if (cmd == "gen") return CmdGen(rest, out);
+    if (cmd == "convert") return CmdConvert(rest, out);
+    if (cmd == "gen-query") return CmdGenQuery(rest, out);
+    if (cmd == "run") return CmdRun(rest, out);
+    if (cmd == "replay") return CmdReplay(rest, out);
+    if (cmd == "snapshot") return CmdSnapshot(rest, out);
+  } catch (const FlagError& e) {
+    out << "error: " << e.what() << "\n";
+    return 2;
+  }
   return usage();
 }
 

@@ -3,10 +3,12 @@
 // list (excluding the subcommand name) and an output stream, and returns
 // a process exit code.
 //
-// Dataset-file arguments accept either format of docs/FILE_FORMATS.md:
-// `.tel` streams (detected by their header; directedness and vertex
-// labels come from the file) or legacy SNAP-style edge lists (directed
-// via --directed, labels via --labels=<file>).
+// Stream arguments are `.tel` files in either framing of
+// docs/FILE_FORMATS.md; directedness and vertex labels come from the
+// file. Legacy SNAP-style edge lists are an input of `convert` only.
+// A numeric flag whose value does not parse in full (`--window=10x`)
+// throws out of a command; Main reports it as a usage error naming the
+// flag.
 #ifndef TCSM_CLI_COMMANDS_H_
 #define TCSM_CLI_COMMANDS_H_
 
@@ -18,64 +20,47 @@ namespace tcsm::cli {
 
 using Args = std::vector<std::string>;
 
-/// tcsm stats <dataset> [--directed] [--labels=<file>]
-/// Prints Table III-style dataset characteristics.
+// Each command's flags are listed by its usage line (run it without
+// arguments) and in README.md.
+
+/// tcsm stats <stream.tel>: Table III-style dataset characteristics.
 int CmdStats(const Args& args, std::ostream& out);
 
-/// tcsm gen <preset|random> [<out.tel>|-] [--scale=S] [--seed=K]
-///   [--window=D] [--expiry=explicit] [--vertices=N --edges=M --vlabels=a
-///    --elabels=b --parallel=p --directed]
-/// Synthesizes a temporal stream and writes it as a `.tel` file
-/// (stdout with `-`, the default — `tcsm gen` pipes into `tcsm replay -`).
+/// tcsm gen <preset|random> [<out.tel>|-]: synthesizes a temporal stream
+/// as a `.tel` file (stdout with `-`, the default, so `tcsm gen` pipes
+/// into `tcsm replay -`).
 int CmdGen(const Args& args, std::ostream& out);
 
-/// tcsm convert <in.tel|-> <out.tel|-> [--format=binary|text]
-///   [--varint=on|off] [--block-records=N]
-/// Re-frames a `.tel` stream between the text and binary v2 framings
-/// without touching its contents: header, labels, and every record carry
-/// over, so a converted stream replays match-identically. The default
-/// --format is the opposite of the input's framing.
+/// tcsm convert <in|-> <out.tel|->: re-frames a `.tel` stream between the
+/// text and binary v2 framings (by default into the other one) without
+/// touching its contents, so it replays match-identically; or turns a
+/// legacy `src dst ts [label]` edge list (--directed, vertex labels from
+/// --labels=<file>) into a text `.tel` stream.
 int CmdConvert(const Args& args, std::ostream& out);
 
-/// tcsm gen-data <preset|random> <out-file> [--scale=S] [--seed=K]
-///   [--vertices=N --edges=M --vlabels=a --elabels=b --parallel=p
-///    --directed]
-/// Writes a legacy edge list (and a .labels file). Prefer `tcsm gen`.
-int CmdGenData(const Args& args, std::ostream& out);
-
-/// tcsm gen-query <dataset> <out-file> [--size=m] [--density=d]
-///   [--window=w] [--seed=K] [--directed] [--labels=<file>]
-/// Extracts a random-walk query with a density-targeted temporal order;
-/// --window is recorded in the query file as its suggested replay delta.
+/// tcsm gen-query <stream.tel> <out-file>: extracts a random-walk query
+/// with a density-targeted temporal order; --window is recorded in the
+/// query file as its suggested replay delta.
 int CmdGenQuery(const Args& args, std::ostream& out);
 
-/// tcsm run <dataset> <query-file> [--window=w] [--directed]
-///   [--labels=<file>] [--limit_ms=T] [--threads=N]
-///   [--engine=tcm|timing|symbi|local] [--print] [--canonical]
-/// Loads the dataset into memory and streams it, reporting
-/// occurred/expired counts (or every match with --print). The window
-/// falls back to the query file's `w` record, then the `.tel` header.
+/// tcsm run <stream.tel> <query-file>...: loads the stream into memory,
+/// then matches exactly as `replay` does — same options, same output,
+/// byte-identical match stream. Expirations derive from the window even
+/// when the file carries x records.
 int CmdRun(const Args& args, std::ostream& out);
 
-/// tcsm replay <stream.tel|-> <query-file>... [--window=w] [--threads=N]
-///   [--max-events=N] [--limit_ms=T] [--engine=tcm|timing|symbi|local]
-///   [--print] [--canonical] [--json] [--seek-ts=T]
-///   [--flight-record=N --flight-dump=FILE [--flight-format=text|binary]]
-/// File-driven continuous matching: pulls the stream incrementally off
-/// disk (or stdin with `-`) in O(window) memory — the stream is never
-/// loaded — and fans events out to one engine per query file across
-/// --threads workers. Match-stream output is byte-identical to `run` on
-/// the same data (tests/io_roundtrip_test.cpp enforces this).
-/// --seek-ts=T starts at the first binary-v2 block covering timestamp T
-/// (O(1) via the index footer); --flight-record keeps the last N arrivals
-/// in a ring and dumps them to --flight-dump as a replayable `.tel` at
-/// exit — error exits included, turning a mid-replay failure into a
-/// reproducer.
+/// tcsm replay <stream.tel|-> <query-file>...: continuous matching read
+/// incrementally off disk (or stdin) in O(window) memory, one engine per
+/// query file fanned out across --threads workers. The window falls back
+/// to the query files' `w` records, then the `.tel` header. --seek-ts=T
+/// starts at the first binary-v2 block covering T and is refused for
+/// queries with absence predicates, whose verdicts would depend on the
+/// skipped prefix; --flight-record keeps the last N arrivals and dumps
+/// them as a replayable `.tel` at exit, error exits included.
 int CmdReplay(const Args& args, std::ostream& out);
 
-/// tcsm snapshot <dataset> <query-file> [--window=w] [--directed]
-///   [--labels=<file>] [--limit_ms=T] [--print]
-/// One-shot matching over the full graph (TOM's setting).
+/// tcsm snapshot <stream.tel> <query-file>: one-shot matching over the
+/// full graph (TOM's setting).
 int CmdSnapshot(const Args& args, std::ostream& out);
 
 /// Dispatches to a subcommand; prints usage on errors.

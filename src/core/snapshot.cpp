@@ -13,21 +13,29 @@ Timestamp EffectiveSnapshotWindow(const TemporalDataset& dataset,
   return dataset.edges.back().ts - dataset.edges.front().ts + 2;
 }
 
+/// Replays the whole dataset once through a TCM engine feeding `sink`
+/// (null: the result's counters only).
+StreamResult ReplayInto(const TemporalDataset& dataset,
+                        const QueryGraph& query,
+                        const SnapshotOptions& options, MatchSink* sink) {
+  SingleQueryContext<TcmEngine> run(
+      query, GraphSchema{dataset.directed, dataset.vertex_labels},
+      options.engine_config);
+  run.engine().set_sink(sink);
+  StreamConfig config;
+  config.window = EffectiveSnapshotWindow(dataset, options.window);
+  config.time_limit_ms = options.time_limit_ms;
+  return RunStream(dataset, config, &run);
+}
+
 }  // namespace
 
 SnapshotResult FindAllMatches(const TemporalDataset& dataset,
                               const QueryGraph& query,
                               const SnapshotOptions& options) {
   SnapshotResult result;
-  SingleQueryContext<TcmEngine> run(
-      query, GraphSchema{dataset.directed, dataset.vertex_labels},
-      options.engine_config);
   CollectingSink sink;
-  run.engine().set_sink(&sink);
-  StreamConfig config;
-  config.window = EffectiveSnapshotWindow(dataset, options.window);
-  config.time_limit_ms = options.time_limit_ms;
-  const StreamResult stream = RunStream(dataset, config, &run);
+  const StreamResult stream = ReplayInto(dataset, query, options, &sink);
   result.completed = stream.completed;
   result.matches.reserve(stream.occurred);
   for (const auto& [embedding, kind] : sink.matches()) {
@@ -39,19 +47,8 @@ SnapshotResult FindAllMatches(const TemporalDataset& dataset,
 SnapshotCount CountAllMatches(const TemporalDataset& dataset,
                               const QueryGraph& query,
                               const SnapshotOptions& options) {
-  SnapshotCount result;
-  SingleQueryContext<TcmEngine> run(
-      query, GraphSchema{dataset.directed, dataset.vertex_labels},
-      options.engine_config);
-  CountingSink sink;
-  run.engine().set_sink(&sink);
-  StreamConfig config;
-  config.window = EffectiveSnapshotWindow(dataset, options.window);
-  config.time_limit_ms = options.time_limit_ms;
-  const StreamResult stream = RunStream(dataset, config, &run);
-  result.completed = stream.completed;
-  result.matches = sink.occurred();
-  return result;
+  const StreamResult stream = ReplayInto(dataset, query, options, nullptr);
+  return SnapshotCount{stream.completed, stream.occurred};
 }
 
 }  // namespace tcsm

@@ -117,15 +117,4 @@ Status LoadVertexLabelFile(const std::string& path,
   return ParseVertexLabels(in, dataset);
 }
 
-Status SaveEdgeListFile(const TemporalDataset& dataset,
-                        const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::InvalidArgument("cannot write " + path);
-  out << "# tcsm temporal edge list: src dst ts label\n";
-  for (const TemporalEdge& e : dataset.edges) {
-    out << e.src << ' ' << e.dst << ' ' << e.ts << ' ' << e.label << '\n';
-  }
-  return Status::Ok();
-}
-
 }  // namespace tcsm

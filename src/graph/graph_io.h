@@ -1,4 +1,4 @@
-// Text loaders/savers for temporal datasets.
+// Text loaders for legacy temporal datasets (input of `tcsm convert`).
 //
 // Edge-list format (SNAP temporal style, '#' comments):
 //   src dst ts [edge_label]
@@ -25,9 +25,6 @@ Status ParseVertexLabels(std::istream& in, TemporalDataset* dataset);
 StatusOr<TemporalDataset> LoadEdgeListFile(const std::string& path,
                                            bool directed);
 Status LoadVertexLabelFile(const std::string& path, TemporalDataset* dataset);
-
-Status SaveEdgeListFile(const TemporalDataset& dataset,
-                        const std::string& path);
 
 }  // namespace tcsm
 

@@ -5,7 +5,6 @@
 #include <istream>
 #include <sstream>
 
-#include "graph/graph_io.h"
 #include "io/tel_binary.h"
 #include "obs/metrics.h"
 
@@ -107,7 +106,7 @@ Status StreamReader::ParseHeader(const std::string& body) {
     } else if (key == "window") {
       Timestamp w = 0;
       if (!(vs >> w) || HasTrailingGarbage(vs) || w <= 0 ||
-          w > kMaxTelTimestamp) {
+          w > kMaxStreamTimestamp) {
         return Fail("bad window '" + value + "' (must be a positive integer "
                     "below 2^61)");
       }
@@ -305,7 +304,7 @@ Status StreamReader::NextText(StreamRecord* record, bool* done) {
                     std::to_string(vertex_labels_.size()) +
                     " vertices; declare more with vertices=N or v records)");
       }
-      if (ts < -kMaxTelTimestamp || ts > kMaxTelTimestamp) {
+      if (ts < -kMaxStreamTimestamp || ts > kMaxStreamTimestamp) {
         return Fail("timestamp out of range (|ts| must stay below 2^61 "
                     "so expiry times cannot overflow)");
       }
@@ -334,7 +333,7 @@ Status StreamReader::NextText(StreamRecord* record, bool* done) {
       if (!(ls >> ts) || HasTrailingGarbage(ls)) {
         return Fail("bad expiry record (expected 'x <ts>')");
       }
-      if (ts < -kMaxTelTimestamp || ts > kMaxTelTimestamp) {
+      if (ts < -kMaxStreamTimestamp || ts > kMaxStreamTimestamp) {
         return Fail("timestamp out of range (|ts| must stay below 2^61 "
                     "so expiry times cannot overflow)");
       }
@@ -415,18 +414,6 @@ bool SniffTelFile(const std::string& path) {
     return magic == kTelMagic;
   }
   return false;
-}
-
-StatusOr<TemporalDataset> LoadAnyDatasetFile(const std::string& path,
-                                             bool directed_fallback,
-                                             TelHeader* header_out) {
-  if (SniffTelFile(path)) return LoadTelFile(path, header_out);
-  if (header_out != nullptr) *header_out = TelHeader{};
-  auto ds = LoadEdgeListFile(path, directed_fallback);
-  if (ds.ok() && header_out != nullptr) {
-    header_out->directed = directed_fallback;
-  }
-  return ds;
 }
 
 }  // namespace tcsm

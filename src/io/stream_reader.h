@@ -134,16 +134,9 @@ StatusOr<TemporalDataset> LoadTelFile(const std::string& path,
                                       TelHeader* header_out = nullptr);
 
 /// True when `path` starts with the binary v2 magic byte or its first
-/// significant line carries the text `.tel` magic token.
+/// significant line carries the text `.tel` magic token (`tcsm convert`
+/// tells `.tel` input from a legacy edge list this way).
 bool SniffTelFile(const std::string& path);
-
-/// Loads `path` as `.tel` when it carries the magic (directedness and
-/// labels then come from the file), otherwise as a legacy SNAP-style edge
-/// list with the caller's directedness. This is what lets every `tcsm`
-/// subcommand accept either format.
-StatusOr<TemporalDataset> LoadAnyDatasetFile(const std::string& path,
-                                             bool directed_fallback,
-                                             TelHeader* header_out = nullptr);
 
 }  // namespace tcsm
 

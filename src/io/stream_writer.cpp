@@ -21,7 +21,7 @@ Status StreamWriter::BeginStream(bool directed,
     return Status::InvalidArgument(
         "explicit-expiry streams require a positive window");
   }
-  if (options.window > kMaxTelTimestamp) {
+  if (options.window > kMaxStreamTimestamp) {
     return Status::InvalidArgument("window too large (must stay below 2^61)");
   }
   if (options.binary) {
@@ -64,7 +64,7 @@ Status StreamWriter::RecordArrival(const TemporalEdge& edge) {
     return Status::InvalidArgument(
         "edge endpoint outside the declared vertex universe");
   }
-  if (edge.ts < -kMaxTelTimestamp || edge.ts > kMaxTelTimestamp) {
+  if (edge.ts < -kMaxStreamTimestamp || edge.ts > kMaxStreamTimestamp) {
     return Status::InvalidArgument(
         "timestamp out of the recordable range (|ts| below 2^61)");
   }
@@ -93,7 +93,7 @@ Status StreamWriter::RecordExpiry(Timestamp ts) {
   if (expiries_ >= arrivals_) {
     return Status::InvalidArgument("expiry with no live edge");
   }
-  if (ts < -kMaxTelTimestamp || ts > kMaxTelTimestamp) {
+  if (ts < -kMaxStreamTimestamp || ts > kMaxStreamTimestamp) {
     // Keeps the one file-level rule (every recorded timestamp parses
     // back); reachable only with arrivals near the 2^61 cap plus a huge
     // window, where refusing beats writing a file the reader rejects.

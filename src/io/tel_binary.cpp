@@ -284,7 +284,7 @@ Status BinaryTelReader::Init() {
                     " (binary streams declare a non-empty universe)");
   }
   const int64_t window = LoadI64(hdr + 16);
-  if (window < 0 || window > kMaxTelTimestamp) {
+  if (window < 0 || window > kMaxStreamTimestamp) {
     return Fail(sizeof(magic) + 16,
                 "bad window (must be a non-negative integer below 2^61)");
   }
@@ -365,7 +365,7 @@ Status BinaryTelReader::LoadNextBlock(bool* end) {
     return Fail(block_offset + 8,
                 "block payload too small for its record count");
   }
-  if (first_ts < -kMaxTelTimestamp || last_ts > kMaxTelTimestamp ||
+  if (first_ts < -kMaxStreamTimestamp || last_ts > kMaxStreamTimestamp ||
       first_ts > last_ts) {
     return Fail(block_offset + 16, "bad block timestamp frame");
   }
@@ -477,7 +477,7 @@ Status BinaryTelReader::Next(StreamRecord* record, bool* done) {
       uint64_t delta = 0;
       Status s = DecodeVarint(end, &p, &delta, record_offset);
       if (!s.ok()) return s;
-      if (delta > static_cast<uint64_t>(kMaxTelTimestamp - prev_ts_)) {
+      if (delta > static_cast<uint64_t>(kMaxStreamTimestamp - prev_ts_)) {
         return Fail(record_offset,
                     "timestamp out of range (|ts| must stay below 2^61 so "
                     "expiry times cannot overflow)");
@@ -499,7 +499,7 @@ Status BinaryTelReader::Next(StreamRecord* record, bool* done) {
     }
 
     // Record validation, mirroring the text reader plus the block frame.
-    if (ts < -kMaxTelTimestamp || ts > kMaxTelTimestamp) {
+    if (ts < -kMaxStreamTimestamp || ts > kMaxStreamTimestamp) {
       return Fail(record_offset,
                   "timestamp out of range (|ts| must stay below 2^61 so "
                   "expiry times cannot overflow)");

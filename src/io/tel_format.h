@@ -37,11 +37,6 @@ inline constexpr const char* kTelMagic = "tel";
 /// be silently misread by a future grammar.
 inline constexpr int kTelVersion = 1;
 
-/// Largest timestamp magnitude (and window) a `.tel` file may carry —
-/// the library-wide overflow cap (common/types.h), so the derived expiry
-/// time ts + window can never overflow however hostile the file.
-inline constexpr Timestamp kMaxTelTimestamp = kMaxStreamTimestamp;
-
 /// Parsed `.tel` header line.
 struct TelHeader {
   int version = kTelVersion;
@@ -63,8 +58,8 @@ struct StreamRecord {
   enum class Kind { kArrival, kExpiry };
   Kind kind = Kind::kArrival;
   /// For arrivals: src/dst/ts/label as parsed (id is assigned by the
-  /// replay driver in arrival order). For explicit expirations only `ts`
-  /// is meaningful — the oldest live edge is the one that expires.
+  /// replay event source in arrival order). For explicit expirations only
+  /// `ts` is meaningful — the oldest live edge is the one that expires.
   TemporalEdge edge;
 };
 

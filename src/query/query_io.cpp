@@ -87,7 +87,7 @@ StatusOr<QueryGraph> ParseQuery(std::istream& in) {
       Timestamp w = 0;
       // Same bound as the .tel format: ts + window must never overflow,
       // and run/replay feed this hint straight into that sum.
-      if (!(ls >> w) || w <= 0 || w > kMaxTelTimestamp) {
+      if (!(ls >> w) || w <= 0 || w > kMaxStreamTimestamp) {
         return fail("bad window (must be a positive integer below 2^61)");
       }
       if (query.window_hint() != 0) return fail("duplicate window record");

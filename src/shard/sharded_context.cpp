@@ -108,6 +108,7 @@ void ShardedStreamContext::SyncSinks() {
 }
 
 void ShardedStreamContext::DrainSinks() {
+  if (buffers_.empty()) return;  // no pooled batch has interposed them yet
   for (const std::vector<size_t>& members : shard_members_) {
     for (const size_t i : members) buffers_[i]->Drain();
   }
@@ -121,10 +122,12 @@ void ShardedStreamContext::DiscardSinks() {
 
 void ShardedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
   // Inline path (unbatched events and the serial bypass): same order of
-  // operations as one pipeline round, on the driver thread, with engines
-  // reporting straight to their sinks. The engine-facing fan-out loops
-  // still emit the pipeline-step spans so a trace of a stream without
-  // coalescable batches shows the same phase structure.
+  // operations as one pipeline round, on the driver thread. Engines report
+  // into the buffers an earlier pooled batch interposed, if any, so each
+  // fan-out is drained right after it; the drain order is the fan-out
+  // order. The engine-facing fan-out loops still emit the pipeline-step
+  // spans so a trace of a stream without coalescable batches shows the
+  // same phase structure.
   const StageMetrics* const stages = stage_metrics();
   TraceWriter* const trace = trace_writer();
   for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardArrival(s, ed);
@@ -134,6 +137,7 @@ void ShardedStreamContext::OnEdgeArrival(const TemporalEdge& ed) {
   for (size_t s = 0; s < graphs_.size(); ++s) {
     NotifyShard(s, &ContinuousEngine::OnEdgeInserted, canonical);
   }
+  DrainSinks();
 }
 
 void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
@@ -148,6 +152,7 @@ void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
       NotifyShard(s, &ContinuousEngine::OnEdgeExpiring, applied);
     }
   }
+  DrainSinks();
   for (size_t s = 0; s < graphs_.size(); ++s) ApplyShardRemoval(s, applied);
   {
     const ScopedStage span(step_hist, trace, "removed_fanout", "pipeline");
@@ -155,6 +160,7 @@ void ShardedStreamContext::OnEdgeExpiry(const TemporalEdge& ed) {
       NotifyShard(s, &ContinuousEngine::OnEdgeRemoved, applied);
     }
   }
+  DrainSinks();
 }
 
 void ShardedStreamContext::OnEdgeArrivalBatch(const TemporalEdge* edges,

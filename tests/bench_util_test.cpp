@@ -118,7 +118,7 @@ TEST(RunQuerySet, SequentialAndParallelAgree) {
 
   const QuerySetResult seq =
       RunQuerySet(ds, queries, EngineKind::kTcm, 150, 0);
-  const QuerySetResult par = RunQuerySetParallel(
+  const QuerySetResult par = RunQuerySet(
       ds, queries, EngineKind::kTcm, 150, 0,
       std::max(2u, std::thread::hardware_concurrency()));
   ASSERT_EQ(seq.per_query_matches.size(), par.per_query_matches.size());

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "cli/commands.h"
+#include "io/stream_reader.h"
 
 namespace tcsm::cli {
 namespace {
@@ -13,53 +14,49 @@ std::string TmpPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-TEST(Cli, GenDataStatsRoundTrip) {
-  const std::string edges = TmpPath("cli_data.edges");
+TEST(Cli, GenStatsRoundTrip) {
+  const std::string tel = TmpPath("cli_data.tel");
   std::ostringstream out;
-  ASSERT_EQ(CmdGenData({"random", edges, "--vertices=50", "--edges=400",
-                        "--vlabels=3", "--seed=5"},
-                       out),
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=50", "--edges=400",
+                    "--vlabels=3", "--seed=5"},
+                   out),
             0)
       << out.str();
   EXPECT_NE(out.str().find("wrote 400 edges"), std::string::npos);
 
   std::ostringstream stats;
-  ASSERT_EQ(CmdStats({edges, "--labels=" + edges + ".labels"}, stats), 0);
+  ASSERT_EQ(CmdStats({tel}, stats), 0);
   EXPECT_NE(stats.str().find("400"), std::string::npos);
-  std::remove(edges.c_str());
-  std::remove((edges + ".labels").c_str());
+  std::remove(tel.c_str());
 }
 
-TEST(Cli, GenDataPresets) {
-  const std::string edges = TmpPath("cli_preset.edges");
+TEST(Cli, GenPresets) {
+  const std::string tel = TmpPath("cli_preset.tel");
   std::ostringstream out;
-  ASSERT_EQ(CmdGenData({"lsbench", edges, "--scale=0.05"}, out), 0);
+  ASSERT_EQ(CmdGen({"lsbench", tel, "--scale=0.05"}, out), 0);
   std::ostringstream bad;
-  EXPECT_NE(CmdGenData({"not-a-preset", edges}, bad), 0);
+  EXPECT_NE(CmdGen({"not-a-preset", tel}, bad), 0);
   EXPECT_NE(bad.str().find("unknown preset"), std::string::npos);
-  std::remove(edges.c_str());
-  std::remove((edges + ".labels").c_str());
+  std::remove(tel.c_str());
 }
 
 TEST(Cli, FullPipelineRunAndSnapshot) {
-  const std::string edges = TmpPath("cli_pipe.edges");
+  const std::string tel = TmpPath("cli_pipe.tel");
   const std::string query = TmpPath("cli_pipe.query");
   std::ostringstream out;
-  ASSERT_EQ(CmdGenData({"random", edges, "--vertices=40", "--edges=500",
-                        "--vlabels=2", "--parallel=2", "--seed=9"},
-                       out),
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=40", "--edges=500",
+                    "--vlabels=2", "--parallel=2", "--seed=9"},
+                   out),
             0);
-  const std::string labels = "--labels=" + edges + ".labels";
   std::ostringstream qout;
-  ASSERT_EQ(CmdGenQuery({edges, query, "--size=3", "--density=1",
-                         "--window=200", "--seed=4", labels},
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=3", "--density=1",
+                         "--window=200", "--seed=4"},
                         qout),
             0)
       << qout.str();
 
   std::ostringstream run;
-  ASSERT_EQ(CmdRun({edges, query, "--window=200", labels}, run), 0)
-      << run.str();
+  ASSERT_EQ(CmdRun({tel, query, "--window=200"}, run), 0) << run.str();
   EXPECT_NE(run.str().find("engine=TCM"), std::string::npos);
   EXPECT_NE(run.str().find("threads=1"), std::string::npos);
   EXPECT_NE(run.str().find("shards=1"), std::string::npos);
@@ -69,12 +66,10 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   // header (with a note that a single-engine run cannot go faster), and
   // changes nothing about the reported match counts.
   std::ostringstream par;
-  ASSERT_EQ(CmdRun({edges, query, "--window=200", labels, "--threads=4"},
-                   par),
-            0)
+  ASSERT_EQ(CmdRun({tel, query, "--window=200", "--threads=4"}, par), 0)
       << par.str();
   EXPECT_NE(par.str().find("threads=4"), std::string::npos);
-  EXPECT_NE(par.str().find("note: run attaches a single engine"),
+  EXPECT_NE(par.str().find("note: one query attaches a single engine"),
             std::string::npos);
   const auto counts = [](const std::string& s) {
     const size_t begin = s.find("occurred=");
@@ -87,8 +82,7 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   // count), and the match counts are identical to the serial run — the
   // sharded context's determinism guarantee.
   std::ostringstream shr;
-  ASSERT_EQ(
-      CmdRun({edges, query, "--window=200", labels, "--shards=4"}, shr), 0)
+  ASSERT_EQ(CmdRun({tel, query, "--window=200", "--shards=4"}, shr), 0)
       << shr.str();
   EXPECT_NE(shr.str().find("shards=4"), std::string::npos);
   EXPECT_NE(shr.str().find("threads=4"), std::string::npos);
@@ -98,7 +92,7 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   // asking for a sharded baseline is a named error, not a silent serial
   // fallback.
   std::ostringstream shbad;
-  EXPECT_EQ(CmdRun({edges, query, "--window=200", labels, "--shards=2",
+  EXPECT_EQ(CmdRun({tel, query, "--window=200", "--shards=2",
                     "--engine=timing"},
                    shbad),
             1);
@@ -107,41 +101,43 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   // All engines accept the same pipeline.
   for (const std::string engine : {"timing", "symbi", "local"}) {
     std::ostringstream eout;
-    ASSERT_EQ(CmdRun({edges, query, "--window=200", labels,
-                      "--engine=" + engine},
+    ASSERT_EQ(CmdRun({tel, query, "--window=200", "--engine=" + engine},
                      eout),
               0)
         << engine << ": " << eout.str();
   }
 
+  // run is replay over an in-memory source: several queries and --json
+  // come with it.
+  std::ostringstream multi;
+  ASSERT_EQ(CmdRun({tel, query, query, "--json"}, multi), 0) << multi.str();
+  EXPECT_EQ(multi.str().rfind("{\"stream\":", 0), 0u) << multi.str();
+  EXPECT_NE(multi.str().find("\"queries\":[{"), std::string::npos);
+
   std::ostringstream snap;
-  ASSERT_EQ(CmdSnapshot({edges, query, labels}, snap), 0);
+  ASSERT_EQ(CmdSnapshot({tel, query}, snap), 0);
   EXPECT_NE(snap.str().find("matches"), std::string::npos);
 
-  std::remove(edges.c_str());
-  std::remove((edges + ".labels").c_str());
+  std::remove(tel.c_str());
   std::remove(query.c_str());
 }
 
 TEST(Cli, RunPrintsMatches) {
-  const std::string edges = TmpPath("cli_print.edges");
+  const std::string tel = TmpPath("cli_print.tel");
   const std::string query = TmpPath("cli_print.query");
   std::ostringstream out;
-  ASSERT_EQ(CmdGenData({"random", edges, "--vertices=10", "--edges=60",
-                        "--seed=3"},
-                       out),
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=10", "--edges=60",
+                    "--seed=3"},
+                   out),
             0);
-  const std::string labels = "--labels=" + edges + ".labels";
-  ASSERT_EQ(CmdGenQuery({edges, query, "--size=2", "--density=0",
-                         "--window=30", labels},
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=2", "--density=0",
+                         "--window=30"},
                         out),
             0);
   std::ostringstream run;
-  ASSERT_EQ(CmdRun({edges, query, "--window=30", labels, "--print"}, run),
-            0);
+  ASSERT_EQ(CmdRun({tel, query, "--window=30", "--print"}, run), 0);
   EXPECT_NE(run.str().find("u0:"), std::string::npos);
-  std::remove(edges.c_str());
-  std::remove((edges + ".labels").c_str());
+  std::remove(tel.c_str());
   std::remove(query.c_str());
 }
 
@@ -269,6 +265,42 @@ std::string MatchLines(const std::string& s) {
     }
   }
   return lines;
+}
+
+TEST(Cli, ShardedReplayOfExplicitExpiryPrintsEveryMatch) {
+  // Coalesced arrivals go through the pooled shard pipeline, which puts
+  // buffers in front of the engines' sinks; the explicit x records then
+  // expire one edge per call on the inline path. Every match reported
+  // there must still reach the output, in the serial order.
+  const std::string tel = TmpPath("cli_shard_x.tel");
+  const std::string query = TmpPath("cli_shard_x.tq");
+  std::ostringstream out;
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=60", "--edges=600",
+                    "--vlabels=2", "--coalesce=4", "--seed=5",
+                    "--window=100", "--expiry=explicit"},
+                   out),
+            0)
+      << out.str();
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=2", "--seed=3"}, out), 0)
+      << out.str();
+  const auto matches = [](const std::string& s) {
+    std::string lines;
+    std::istringstream in(s);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (!line.empty() && (line[0] == '+' || line[0] == '-')) {
+        lines += line + "\n";
+      }
+    }
+    return lines;
+  };
+  std::ostringstream serial;
+  ASSERT_EQ(CmdReplay({tel, query, "--print"}, serial), 0) << serial.str();
+  std::ostringstream sharded;
+  ASSERT_EQ(CmdReplay({tel, query, "--print", "--shards=2"}, sharded), 0)
+      << sharded.str();
+  EXPECT_NE(matches(serial.str()), "");
+  EXPECT_EQ(matches(sharded.str()), matches(serial.str()));
 }
 
 TEST(Cli, ConvertAndBinaryReplay) {
@@ -560,24 +592,155 @@ TEST(Cli, ObservabilityFlags) {
 }
 
 TEST(Cli, CanonicalFlagReported) {
-  const std::string edges = TmpPath("cli_canon.edges");
+  const std::string tel = TmpPath("cli_canon.tel");
   const std::string query = TmpPath("cli_canon.query");
   std::ostringstream out;
-  ASSERT_EQ(CmdGenData({"random", edges, "--vertices=30", "--edges=300",
-                        "--seed=8"},
-                       out),
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=30", "--edges=300",
+                    "--seed=8"},
+                   out),
             0);
-  const std::string labels = "--labels=" + edges + ".labels";
-  ASSERT_EQ(CmdGenQuery({edges, query, "--size=3", "--density=0",
-                         "--window=100", labels},
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=3", "--density=0",
+                         "--window=100"},
                         out),
             0);
   std::ostringstream run;
-  ASSERT_EQ(
-      CmdRun({edges, query, "--window=100", labels, "--canonical"}, run), 0);
+  ASSERT_EQ(CmdRun({tel, query, "--window=100", "--canonical"}, run), 0);
   EXPECT_NE(run.str().find("automorphism group size"), std::string::npos);
-  std::remove(edges.c_str());
-  std::remove((edges + ".labels").c_str());
+  std::remove(tel.c_str());
+  std::remove(query.c_str());
+}
+
+TEST(Cli, ConvertLegacyEdgeList) {
+  // The same stream as a generated .tel, and as a legacy edge list plus a
+  // `vertex label` file: converted, it replays to the same matches.
+  const std::string tel = TmpPath("cli_legacy.tel");
+  const std::string edges = TmpPath("cli_legacy.edges");
+  const std::string labels = TmpPath("cli_legacy.labels");
+  const std::string converted = TmpPath("cli_legacy_cv.tel");
+  const std::string query = TmpPath("cli_legacy.tq");
+  std::ostringstream out;
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=40", "--edges=400",
+                    "--vlabels=3", "--elabels=2", "--seed=6"},
+                   out),
+            0);
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=3", "--density=0.5",
+                         "--window=80", "--seed=2"},
+                        out),
+            0)
+      << out.str();
+  {
+    auto ds = LoadTelFile(tel);
+    ASSERT_TRUE(ds.ok());
+    std::ofstream ef(edges);
+    ef << "# src dst ts label\n";
+    for (const TemporalEdge& e : ds.value().edges) {
+      ef << e.src << ' ' << e.dst << ' ' << e.ts << ' ' << e.label << '\n';
+    }
+    std::ofstream lf(labels);
+    for (size_t v = 0; v < ds.value().vertex_labels.size(); ++v) {
+      lf << v << ' ' << ds.value().vertex_labels[v] << '\n';
+    }
+  }
+  std::ostringstream cv;
+  ASSERT_EQ(CmdConvert({edges, converted, "--labels=" + labels}, cv), 0)
+      << cv.str();
+  EXPECT_NE(cv.str().find("wrote 400 edges"), std::string::npos) << cv.str();
+  EXPECT_EQ(Slurp(converted).rfind("tel 1 undirected", 0), 0u);
+
+  std::ostringstream direct, legacy;
+  ASSERT_EQ(CmdReplay({tel, query, "--print"}, direct), 0) << direct.str();
+  ASSERT_EQ(CmdReplay({converted, query, "--print"}, legacy), 0)
+      << legacy.str();
+  EXPECT_NE(MatchLines(direct.str()), "");
+  EXPECT_EQ(MatchLines(legacy.str()), MatchLines(direct.str()));
+
+  // Edge-list options on a .tel input are a contradiction, not a no-op.
+  std::ostringstream bad;
+  EXPECT_EQ(CmdConvert({tel, converted, "--directed"}, bad), 1);
+  EXPECT_NE(bad.str().find("only apply to an edge-list input"),
+            std::string::npos);
+
+  for (const std::string& f : {tel, edges, labels, converted, query}) {
+    std::remove(f.c_str());
+  }
+}
+
+TEST(Cli, SeekRefusesAbsenceQueries) {
+  // A seeked replay never sees the arrivals before the seek point, so an
+  // absence predicate's verdict would depend on the skipped prefix.
+  const std::string tel = TmpPath("cli_seek_abs.tel");
+  const std::string query = TmpPath("cli_seek_abs.tq");
+  std::ostringstream out;
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=30", "--edges=200",
+                    "--vlabels=2", "--seed=11", "--window=60",
+                    "--format=binary", "--block-records=16"},
+                   out),
+            0);
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=3", "--density=1", "--seed=4",
+                         "--window=60", "--absence=1"},
+                        out),
+            0)
+      << out.str();
+  std::ostringstream full;
+  EXPECT_EQ(CmdReplay({tel, query}, full), 0) << full.str();
+  std::ostringstream seek;
+  EXPECT_EQ(CmdReplay({tel, query, "--seek-ts=50", "--print"}, seek), 1);
+  EXPECT_EQ(seek.str().rfind("error: " + query + ": --seek-ts", 0), 0u)
+      << seek.str();
+  EXPECT_EQ(MatchLines(seek.str()), "");
+  std::remove(tel.c_str());
+  std::remove(query.c_str());
+}
+
+TEST(Cli, MalformedNumericFlagsAreNamed) {
+  const std::string tel = TmpPath("cli_flags.tel");
+  const std::string query = TmpPath("cli_flags.tq");
+  const std::string scratch = TmpPath("cli_flags_out");
+  std::ostringstream out;
+  ASSERT_EQ(CmdGen({"random", tel, "--vertices=20", "--edges=100",
+                    "--seed=2", "--window=40"},
+                   out),
+            0);
+  ASSERT_EQ(CmdGenQuery({tel, query, "--size=2", "--seed=1"}, out), 0)
+      << out.str();
+  struct Case {
+    std::vector<std::string> argv;
+    std::string error;
+  };
+  const Case cases[] = {
+      {{"run", tel, query, "--window=abc"},
+       "--window: expected an integer, got 'abc'"},
+      {{"run", tel, query, "--window=10x"},
+       "--window: expected an integer, got '10x'"},
+      {{"run", tel, query, "--limit_ms=xyz"},
+       "--limit_ms: expected a number, got 'xyz'"},
+      {{"replay", tel, query, "--threads=2.5"},
+       "--threads: expected an integer, got '2.5'"},
+      {{"replay", tel, query, "--max-events"},
+       "--max-events: expected an integer, got ''"},
+      {{"gen", "random", scratch, "--edges=1e3"},
+       "--edges: expected an integer, got '1e3'"},
+      {{"gen", "random", scratch, "--parallel=two"},
+       "--parallel: expected a number, got 'two'"},
+      {{"gen-query", tel, scratch, "--density=0.5x"},
+       "--density: expected a number, got '0.5x'"},
+      {{"gen-query", tel, scratch, "--size= 3"},
+       "--size: expected an integer, got ' 3'"},
+  };
+  for (const Case& c : cases) {
+    std::vector<char*> argv = {const_cast<char*>("tcsm")};
+    for (const std::string& a : c.argv) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    std::ostringstream o, e;
+    EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data(), o, e), 2)
+        << c.argv[0] << " " << c.argv.back();
+    EXPECT_EQ(o.str(), "error: " + c.error + "\n")
+        << c.argv[0] << " " << c.argv.back();
+  }
+  // Nothing was written by the refused commands.
+  EXPECT_FALSE(std::ifstream(scratch).good());
+  std::remove(tel.c_str());
   std::remove(query.c_str());
 }
 

@@ -119,8 +119,6 @@ TEST(TelErrors, SelfLoopsDroppedNotFatal) {
 TEST(TelErrors, LoadFileNotFound) {
   EXPECT_EQ(LoadTelFile("/no/such/stream.tel").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(LoadAnyDatasetFile("/no/such/stream.tel", false).status().code(),
-            StatusCode::kNotFound);
   EXPECT_FALSE(SniffTelFile("/no/such/stream.tel"));
 }
 

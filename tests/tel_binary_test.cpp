@@ -163,8 +163,8 @@ TEST(TelBinaryWire, VarintSurvivesExtremeValues) {
   ds.directed = false;
   ds.vertex_labels.assign(1u << 16, 0);
   ds.vertex_labels.back() = 0x7fffffff;
-  ds.edges = {Edge(0, (1u << 16) - 1, -kMaxTelTimestamp, 0x7fffffff),
-              Edge(1, 2, 0), Edge(2, 3, kMaxTelTimestamp)};
+  ds.edges = {Edge(0, (1u << 16) - 1, -kMaxStreamTimestamp, 0x7fffffff),
+              Edge(1, 2, 0), Edge(2, 3, kMaxStreamTimestamp)};
   for (size_t i = 0; i < ds.edges.size(); ++i) {
     ds.edges[i].id = static_cast<EdgeId>(i);
   }
@@ -174,10 +174,10 @@ TEST(TelBinaryWire, VarintSurvivesExtremeValues) {
   auto parsed = ReadTelDataset(in, "extreme.tel");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed.value().NumEdges(), 3u);
-  EXPECT_EQ(parsed.value().edges[0].ts, -kMaxTelTimestamp);
+  EXPECT_EQ(parsed.value().edges[0].ts, -kMaxStreamTimestamp);
   EXPECT_EQ(parsed.value().edges[0].dst, (1u << 16) - 1);
   EXPECT_EQ(parsed.value().edges[0].label, 0x7fffffffu);
-  EXPECT_EQ(parsed.value().edges[2].ts, kMaxTelTimestamp);
+  EXPECT_EQ(parsed.value().edges[2].ts, kMaxStreamTimestamp);
 }
 
 TEST(TelBinaryWire, EmptyStreamRoundTrips) {
