@@ -2,8 +2,8 @@
 // the ParallelStreamContext fan-out (1, 2, 4, 8 threads) at 16 and 64
 // concurrently monitored queries. The 1-thread measurement IS the serial
 // shared context (the pool bypasses itself at one thread), so the
-// speedup column reads directly as "sharded fan-out vs. PR 2 serial
-// baseline". Each measurement is emitted as a BENCH JSON line
+// speedup column reads directly as "thread fan-out vs. the serial
+// shared context". Each measurement is emitted as a BENCH JSON line
 // (bench_util/bench_json.h).
 //
 // The workload differs deliberately from bench_multiquery_scaling: that
@@ -12,7 +12,7 @@
 // which would make a parallelism bench measure only barrier overhead.
 // Here the label alphabet is small and the window wide, so most events
 // reach the per-engine filter/DCS/backtracking work that the pool
-// actually shards. Correctness is re-checked on the fly: every thread
+// actually spreads. Correctness is re-checked on the fly: every thread
 // count must report exactly the serial run's occurred/expired counts
 // (the differential guarantee lives in stream_fuzz_test's
 // ParallelMatchesSerialMultiQuery scenario).

@@ -1,7 +1,7 @@
 // Multi-pattern network monitoring: one traffic stream, several attack
 // patterns watched simultaneously (the Verizon report the paper cites
 // finds ~10 recurring attack shapes). Demonstrates MultiQueryEngine for
-// fan-out — sharded across a worker pool via its num_threads knob, with
+// fan-out — spread across a worker pool via its num_threads knob, with
 // deterministic alert order — and CanonicalSink semantics via
 // interchangeable zombies.
 //
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
                                           "beacon-exfil"};
   const std::vector<QueryGraph> patterns = {DdosStar(2), LateralChain(),
                                             BeaconExfil()};
-  // Shard the per-pattern matching work of each event across a worker
+  // Spread the per-pattern matching work of each event across a worker
   // pool (one engine is never split, so more threads than patterns is
   // pointless). The alert stream is merged deterministically — this
   // program prints byte-identical output at any thread count, including

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -172,16 +175,49 @@ Timestamp EffectiveWindow(const TemporalDataset& dataset, Timestamp units) {
   return std::max<Timestamp>(64, static_cast<Timestamp>(scaled));
 }
 
+namespace {
+
+/// Prints the usage line (after `error`, when given) and exits: 0 to
+/// stdout for --help, 2 to stderr otherwise.
+[[noreturn]] void ExitWithUsage(const char* prog, const std::string& error) {
+  std::ostream& out = error.empty() ? std::cout : std::cerr;
+  if (!error.empty()) out << "error: " << error << "\n";
+  out << "usage: " << prog
+      << " [--datasets=a,b,...] [--queries=N] [--limit_ms=T] [--scale=S] "
+         "[--seed=K] [--from=DIR] [--help]\n";
+  std::exit(error.empty() ? 0 : 2);
+}
+
+/// Parses the whole of `v` as a T (as the tcsm CLI's numeric flags do);
+/// an empty or partial parse exits with an error naming `flag`.
+template <typename T>
+T ParseWhole(const char* prog, const char* flag, const char* v,
+             const char* expected) {
+  const char* const last = v + std::strlen(v);
+  T value{};
+  const auto [end, ec] = std::from_chars(v, last, value);
+  if (ec != std::errc() || end != last) {
+    ExitWithUsage(prog, std::string(flag) + ": expected " + expected +
+                            ", got '" + v + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   args.datasets = PresetNames();
+  const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* prefix) -> const char* {
       const size_t len = std::strlen(prefix);
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
     };
-    if (const char* v = value_of("--datasets=")) {
+    if (arg == "--help") {
+      ExitWithUsage(prog, "");
+    } else if (const char* v = value_of("--datasets=")) {
       args.datasets.clear();
       std::istringstream ss(v);
       std::string item;
@@ -189,15 +225,19 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
         if (!item.empty()) args.datasets.push_back(item);
       }
     } else if (const char* v = value_of("--queries=")) {
-      args.queries_per_set = static_cast<size_t>(std::stoul(v));
+      args.queries_per_set =
+          ParseWhole<size_t>(prog, "--queries", v, "an integer");
     } else if (const char* v = value_of("--limit_ms=")) {
-      args.time_limit_ms = std::stod(v);
+      args.time_limit_ms =
+          ParseWhole<double>(prog, "--limit_ms", v, "a number");
     } else if (const char* v = value_of("--scale=")) {
-      args.scale = std::stod(v);
+      args.scale = ParseWhole<double>(prog, "--scale", v, "a number");
     } else if (const char* v = value_of("--seed=")) {
-      args.seed = std::stoull(v);
+      args.seed = ParseWhole<uint64_t>(prog, "--seed", v, "an integer");
     } else if (const char* v = value_of("--from=")) {
       args.from_dir = v;
+    } else {
+      ExitWithUsage(prog, "unknown argument '" + arg + "'");
     }
   }
   return args;

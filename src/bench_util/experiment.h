@@ -83,6 +83,10 @@ struct BenchArgs {
   std::string from_dir;
 };
 
+/// Parses --datasets=a,b --queries=N --limit_ms=T --scale=S --seed=K
+/// --from=DIR. --help prints the usage line and exits 0; an unknown
+/// argument or a value that does not parse in full prints an error and
+/// the usage line and exits 2.
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 }  // namespace tcsm

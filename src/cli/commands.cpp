@@ -1,5 +1,6 @@
 #include "cli/commands.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,8 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "bench_util/experiment.h"
 #include "bench_util/table_printer.h"
@@ -26,8 +29,6 @@
 #include "obs/observability.h"
 #include "query/query_io.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_context.h"
-#include "shard/sharded_engine.h"
 
 namespace tcsm::cli {
 namespace {
@@ -41,6 +42,9 @@ class FlagError : public std::runtime_error {
 /// Tiny flag parser: positional arguments plus --key=value / --switch.
 class FlagSet {
  public:
+  /// The flags one subcommand accepts, without their leading `--`.
+  using Names = std::vector<std::string_view>;
+
   explicit FlagSet(const Args& args) {
     for (const std::string& a : args) {
       if (a.rfind("--", 0) == 0) {
@@ -58,6 +62,26 @@ class FlagSet {
 
   const std::vector<std::string>& positional() const { return positional_; }
   bool Has(const std::string& name) const { return flags_.count(name) > 0; }
+
+  /// False (after printing an error naming the flag and `cmd`) when a
+  /// flag outside `accepted` was passed, so a typo or a flag of another
+  /// subcommand is refused instead of silently ignored.
+  bool Accepts(const char* cmd, const Names& accepted,
+               std::ostream& out) const {
+    for (const auto& [name, value] : flags_) {
+      if (std::find(accepted.begin(), accepted.end(), name) !=
+          accepted.end()) {
+        continue;
+      }
+      out << "error: unknown flag --" << name << " for '" << cmd
+          << "' (accepted:";
+      if (accepted.empty()) out << " none";
+      for (const std::string_view a : accepted) out << " --" << a;
+      out << ")\n";
+      return false;
+    }
+    return true;
+  }
 
   std::string GetString(const std::string& name,
                         const std::string& dflt = "") const {
@@ -252,23 +276,6 @@ bool ResolveObsFlags(const FlagSet& flags, std::ostream& out,
     if (!o->trace_path.empty()) o->obs->EnableTrace();
   }
   return true;
-}
-
-/// The observability flags only make sense where a stream is driven;
-/// reject them loudly on the other subcommands instead of silently
-/// ignoring a typo'd invocation. Returns true (after printing an error)
-/// when any such flag is present.
-bool RejectObsFlags(const FlagSet& flags, const char* cmd,
-                    std::ostream& out) {
-  for (const char* f : {"metrics", "stats-every", "trace-out"}) {
-    if (flags.Has(f)) {
-      out << "error: --" << f
-          << " only applies to streaming subcommands (run, replay), not '"
-          << cmd << "'\n";
-      return true;
-    }
-  }
-  return false;
 }
 
 /// End-of-run observability output: writes the trace file (validated
@@ -474,49 +481,26 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
         << " absence predicate(s) (absence defers emission)\n";
   }
   const std::string kind = flags.GetString("engine", "tcm");
-  const size_t shards =
-      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("shards", 1)));
-  if (shards > 1 && kind != "tcm") {
-    out << "error: --shards=" << shards
-        << " requires --engine=tcm (only the TCM engine reads through "
-           "the sharded graph view)\n";
-    return 1;
-  }
-  // One pool lane per shard by default, the serial 1 otherwise.
-  const size_t threads = static_cast<size_t>(std::max<int64_t>(
-      1, flags.GetInt("threads", static_cast<int64_t>(shards))));
+  const size_t threads =
+      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("threads", 1)));
   // --json promises machine-readable stdout: exactly one JSON line, so
   // the advisory chatter below is suppressed under it.
-  if (threads > 1 && shards == 1 && queries.size() == 1 && !json) {
-    // Fan-out shards *engines*; one query attaches exactly one, so the
-    // run stays serial however many workers the pool has. (--shards=N is
-    // different: it splits the graph maintenance itself.)
+  if (threads > 1 && queries.size() == 1 && !json) {
+    // Fan-out spreads *engines* over the pool; one query attaches exactly
+    // one, so the run stays serial however many workers the pool has.
     out << "note: one query attaches a single engine; --threads=" << threads
         << " cannot speed up one engine (pass several query files)\n";
   }
 
-  // The context owns the shared sliding-window graph — one canonical
-  // graph, or a vertex-partitioned set of shard graphs under --shards.
-  // Engines are read-only views attached to it. At --threads=1 (the
-  // default) the parallel context spawns no workers and is the serial
-  // context.
-  std::unique_ptr<SharedStreamContext> context;
-  ShardedStreamContext* sharded = nullptr;
-  if (shards > 1) {
-    auto c = std::make_unique<ShardedStreamContext>(in.schema, shards,
-                                                    threads);
-    sharded = c.get();
-    context = std::move(c);
-  } else {
-    context = std::make_unique<ParallelStreamContext>(in.schema, threads);
-  }
+  // The context owns the shared sliding-window graph; engines are
+  // read-only views attached to it. At --threads=1 (the default) the
+  // parallel context spawns no workers and is the serial context.
+  ParallelStreamContext context(in.schema, threads);
   std::vector<std::unique_ptr<ContinuousEngine>> engines;
   std::vector<std::unique_ptr<MatchSink>> owned_sinks;
   for (size_t i = 0; i < queries.size(); ++i) {
     std::unique_ptr<ContinuousEngine> engine =
-        sharded != nullptr
-            ? std::make_unique<ShardedTcmEngine>(queries[i], sharded->view())
-            : MakeCliEngine(kind, queries[i], context->graph(), out);
+        MakeCliEngine(kind, queries[i], context.graph(), out);
     if (!engine) return 1;
     MatchSink* sink = nullptr;
     if (flags.Has("print")) {
@@ -543,14 +527,7 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
       }
     }
     if (sink != nullptr) engine->set_sink(sink);
-    if (sharded != nullptr) {
-      // Contiguous engine -> shard placement (shard-monotone in attach
-      // order), so the global match stream keeps the serial attach order
-      // (DESIGN.md §10).
-      sharded->AttachToShard(i * shards / queries.size(), engine.get());
-    } else {
-      context->Attach(engine.get());
-    }
+    context.Attach(engine.get());
     engines.push_back(std::move(engine));
   }
 
@@ -636,7 +613,7 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
   // ahead of the final summary line, so stdout stays line-parseable.
   opts.stats_json = json;
   opts.stats_out = &out;
-  auto res = DriveStream(in.events, opts, context.get());
+  auto res = DriveStream(in.events, opts, &context);
   if (!res.ok()) {
     out << "error: " << res.status().ToString() << "\n";
     dump_flight();  // the retained window is the reproducer
@@ -646,8 +623,7 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
   if (json) {
     out << "{\"stream\":\"" << JsonEscape(in.name)
         << "\",\"engine\":\"" << kind
-        << "\",\"threads\":" << r.num_threads
-        << ",\"shards\":" << r.num_shards << ",\"events\":" << r.events
+        << "\",\"threads\":" << r.num_threads << ",\"events\":" << r.events
         << ",\"occurred\":" << r.occurred << ",\"expired\":" << r.expired
         << ",\"elapsed_ms\":" << FormatDouble(r.elapsed_ms, 3)
         << ",\"peak_bytes\":" << r.peak_memory_bytes
@@ -670,7 +646,7 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
     out << "]}\n";
   } else {
     out << "engine=" << engines[0]->name() << " threads=" << r.num_threads
-        << " shards=" << r.num_shards << " events=" << r.events
+        << " events=" << r.events
         << " occurred=" << r.occurred << " expired=" << r.expired
         << " elapsed_ms=" << FormatDouble(r.elapsed_ms, 2)
         << " peak_bytes=" << r.peak_memory_bytes
@@ -693,9 +669,15 @@ int MatchQueries(const FlagSet& flags, const StreamInput& in,
   return r.completed ? 0 : 3;
 }
 
-/// Flags of the matching body, shared by the run and replay usage lines.
+/// Flags of the matching body, accepted by both run and replay.
+const FlagSet::Names kMatchFlags = {
+    "window", "threads", "max-events", "limit_ms", "engine", "print",
+    "canonical", "json", "flight-record", "flight-dump", "flight-format",
+    "metrics", "stats-every", "trace-out"};
+
+/// Their usage text, shared by the run and replay usage lines.
 constexpr const char* kMatchFlagsUsage =
-    "[--window=w] [--threads=N] [--shards=N] [--max-events=N] "
+    "[--window=w] [--threads=N] [--max-events=N] "
     "[--limit_ms=T] [--engine=tcm|timing|symbi|local] [--print] "
     "[--canonical] [--json] [--flight-record=N --flight-dump=FILE "
     "[--flight-format=text|binary]] [--metrics[=on|off]] "
@@ -705,11 +687,11 @@ constexpr const char* kMatchFlagsUsage =
 
 int CmdStats(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("stats", {}, out)) return 2;
   if (flags.positional().size() != 1) {
     out << "usage: tcsm stats <stream.tel>\n";
     return 2;
   }
-  if (RejectObsFlags(flags, "stats", out)) return 2;
   const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
   PrintStats(*ds, out);
@@ -718,6 +700,13 @@ int CmdStats(const Args& args, std::ostream& out) {
 
 int CmdGen(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("gen",
+                     {"scale", "seed", "window", "expiry", "format", "varint",
+                      "block-records", "vertices", "edges", "vlabels",
+                      "elabels", "parallel", "coalesce", "directed"},
+                     out)) {
+    return 2;
+  }
   if (flags.positional().empty() || flags.positional().size() > 2) {
     out << "usage: tcsm gen <preset|random> [<out.tel>|-] [--scale=S] "
            "[--seed=K] [--window=D] [--expiry=explicit] "
@@ -729,7 +718,6 @@ int CmdGen(const Args& args, std::ostream& out) {
     out << "\n";
     return 2;
   }
-  if (RejectObsFlags(flags, "gen", out)) return 2;
   const auto ds = BuildSynthetic(flags, flags.positional()[0], out);
   if (!ds) return 1;
 
@@ -752,6 +740,12 @@ int CmdGen(const Args& args, std::ostream& out) {
 
 int CmdConvert(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("convert",
+                     {"format", "varint", "block-records", "directed",
+                      "labels"},
+                     out)) {
+    return 2;
+  }
   if (flags.positional().size() != 2) {
     out << "usage: tcsm convert <in|-> <out.tel|-> [--format=binary|text] "
            "[--varint=on|off] [--block-records=N] [--directed] "
@@ -761,7 +755,6 @@ int CmdConvert(const Args& args, std::ostream& out) {
            "--format: text; --directed and --labels=file apply to it)\n";
     return 2;
   }
-  if (RejectObsFlags(flags, "convert", out)) return 2;
   const std::string in_path = flags.positional()[0];
   const std::string out_path = flags.positional()[1];
   if (in_path != "-" && !SniffTelFile(in_path)) {
@@ -842,13 +835,18 @@ int CmdConvert(const Args& args, std::ostream& out) {
 
 int CmdGenQuery(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("gen-query",
+                     {"size", "density", "window", "seed", "gaps",
+                      "gap-slack", "absence", "absence-delta"},
+                     out)) {
+    return 2;
+  }
   if (flags.positional().size() != 2) {
     out << "usage: tcsm gen-query <stream.tel> <out-file> [--size=m] "
            "[--density=d] [--window=w] [--seed=K] [--gaps=p] "
            "[--gap-slack=s] [--absence=n] [--absence-delta=d]\n";
     return 2;
   }
-  if (RejectObsFlags(flags, "gen-query", out)) return 2;
   const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
   QueryGenOptions opt;
@@ -880,14 +878,11 @@ int CmdGenQuery(const Args& args, std::ostream& out) {
 
 int CmdRun(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("run", kMatchFlags, out)) return 2;
   if (flags.positional().size() < 2) {
     out << "usage: tcsm run <stream.tel> <query-file>... "
         << kMatchFlagsUsage << "\n";
     return 2;
-  }
-  if (flags.Has("seek-ts")) {
-    out << "error: --seek-ts only applies to replay\n";
-    return 1;
   }
   StreamInput in;
   const auto ds = Loaded(LoadTelFile(flags.positional()[0], &in.header), out);
@@ -904,6 +899,9 @@ int CmdRun(const Args& args, std::ostream& out) {
 
 int CmdReplay(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  FlagSet::Names accepted = kMatchFlags;
+  accepted.push_back("seek-ts");
+  if (!flags.Accepts("replay", accepted, out)) return 2;
   if (flags.positional().size() < 2) {
     out << "usage: tcsm replay <stream.tel|-> <query-file>... "
         << kMatchFlagsUsage << " [--seek-ts=T]\n";
@@ -932,12 +930,14 @@ int CmdReplay(const Args& args, std::ostream& out) {
 
 int CmdSnapshot(const Args& args, std::ostream& out) {
   const FlagSet flags(args);
+  if (!flags.Accepts("snapshot", {"window", "limit_ms", "print"}, out)) {
+    return 2;
+  }
   if (flags.positional().size() != 2) {
     out << "usage: tcsm snapshot <stream.tel> <query-file> [--window=w] "
            "[--limit_ms=T] [--print]\n";
     return 2;
   }
-  if (RejectObsFlags(flags, "snapshot", out)) return 2;
   const auto ds = Loaded(LoadTelFile(flags.positional()[0]), out);
   if (!ds) return 1;
   const auto q = Loaded(LoadQueryFile(flags.positional()[1]), out);

@@ -32,7 +32,7 @@ class MultiQueryEngine : public ParallelStreamContext {
  public:
   /// One TCM engine per query, all views of the one shared graph; all
   /// queries must share the schema's directedness. With `num_threads > 1`
-  /// the per-engine notification work of every event is sharded across
+  /// the per-engine notification work of every event is spread across
   /// that many threads (including the driver thread); results are
   /// byte-identical to the serial default, in the same order
   /// (DESIGN.md §6).

@@ -232,7 +232,6 @@ StatusOr<StreamResult> DriveStream(EventSource* source,
   result.peak_memory_bytes = peak.peak_bytes();
   result.peak_memory_event_index = peak.peak_event_index();
   result.num_threads = context->num_threads();
-  result.num_shards = context->num_shards();
   if (stages != nullptr) {
     // Publish this run's deltas so a registry snapshot, --json, and
     // BENCH JSON all read one source of truth.

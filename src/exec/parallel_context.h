@@ -1,4 +1,4 @@
-// Sharded multi-query fan-out over the one shared sliding-window graph.
+// Multi-query thread fan-out over the one shared sliding-window graph.
 //
 // A ParallelStreamContext is a SharedStreamContext whose notification
 // fan-out runs on a worker pool instead of a loop: the graph mutation for
@@ -6,7 +6,7 @@
 // two-phase expiry protocol of DESIGN.md §3 is unchanged), and then the
 // per-engine OnEdgeInserted / OnEdgeExpiring / OnEdgeRemoved work — which
 // PR 2 made embarrassingly parallel by turning engines into read-only
-// views of a const graph — is sharded dynamically across the pool, with a
+// views of a const graph — is spread dynamically across the pool, with a
 // full barrier at the end of each phase. In particular the barrier
 // between OnEdgeExpiring and the graph removal guarantees every engine
 // enumerated its dying embeddings against the pre-deletion state before

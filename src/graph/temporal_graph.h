@@ -81,11 +81,11 @@ class TemporalGraph {
   /// InsertEdge with a caller-assigned id. `id` must be >= the next id
   /// this graph would assign; the skipped ids become permanent holes in
   /// the id ring (Alive() false, Edge() CHECK-fails — exactly like a
-  /// reclaimed id). This is how a shard keeps the *global* dense arrival
-  /// ids for the subset of edges it holds, so EdgeId-keyed engine state
-  /// stays identical to an unsharded run (see src/shard/). The holes are
-  /// reclaimed by the same front-advance as expired ids, so IdSpan stays
-  /// O(window) under FIFO expiry regardless of how sparse the subset is.
+  /// reclaimed id). A replay started with `--seek-ts` begins mid-stream
+  /// at a non-zero first arrival index; inserting under the stream's own
+  /// ids keeps EdgeId-keyed engine state, and so the match stream, the
+  /// suffix of a full replay's. The holes are reclaimed by the same
+  /// front-advance as expired ids, so IdSpan stays O(window).
   EdgeId InsertEdgeAs(EdgeId id, VertexId src, VertexId dst, Timestamp ts,
                       Label label = 0);
 
@@ -125,14 +125,6 @@ class TemporalGraph {
   }
 
   size_t Degree(VertexId v) const { return adj_[v].degree; }
-
-  /// The exact per-vertex signature masks behind MayHaveMatching —
-  /// exported so a sharded deployment can publish a vertex's filter state
-  /// to the other shards (src/shard/summaries.h). False-negative-free by
-  /// construction (bits are re-derived whenever a bucket count hits zero).
-  const Bloom64& VertexSigAny(VertexId v) const { return adj_[v].sig_any; }
-  const Bloom64& VertexSigOut(VertexId v) const { return adj_[v].sig_out; }
-  const Bloom64& VertexSigIn(VertexId v) const { return adj_[v].sig_in; }
 
   /// Iterator over one adjacency bucket (an intrusive doubly-linked list
   /// through the node pool). Invalidated by any graph mutation.
@@ -223,19 +215,6 @@ class TemporalGraph {
       fn(slots_[slot].edge);
     }
   }
-
-  /// Edge(id), taking the vertex the caller is scanning from as a
-  /// locality hint. The single-graph store has exactly one copy of every
-  /// record, so the hint is unused here; a sharded view routes the read
-  /// to the shard owning `v` (which holds v's complete adjacency). Hot
-  /// rescan paths use this instead of Edge() so they stay shard-local.
-  const TemporalEdge& EdgeNear(VertexId v, EdgeId id) const {
-    (void)v;
-    return Edge(id);
-  }
-  /// Alive(), answered from an edge record the caller already holds —
-  /// a sharded view routes by the record's endpoints instead of the id.
-  bool AliveEdge(const TemporalEdge& e) const { return Alive(e.id); }
 
   /// Approximate heap footprint of the live state (slot + node pools,
   /// id ring, buckets, labels). O(window) under FIFO expiry.

@@ -30,7 +30,7 @@
 
 namespace tcsm {
 
-/// Stripe count for per-thread sharded accumulation. A power of two; more
+/// Stripe count for per-thread striped accumulation. A power of two; more
 /// stripes than typical pool widths so two workers rarely share one.
 inline constexpr size_t kMetricStripes = 16;
 
@@ -179,7 +179,6 @@ struct StageMetrics {
   Counter* expirations = nullptr;
   Counter* arrival_batches = nullptr;
   Counter* expiry_batches = nullptr;
-  Counter* summary_publishes = nullptr;
   // Ingest accounting (counters): records returned by / bytes consumed
   // from the StreamReader, either framing. Reconciles against
   // StreamResult.events (ingest_records ≥ arrivals + derived expirations'
@@ -196,7 +195,6 @@ struct StageMetrics {
   Histogram* expiry_batch_ns = nullptr;
   Histogram* pipeline_step_ns = nullptr;
   Histogram* sink_drain_ns = nullptr;
-  Histogram* shard_lane_ns = nullptr;
   Histogram* engine_update_ns = nullptr;
   Histogram* engine_search_ns = nullptr;
 };

@@ -53,6 +53,30 @@ TEST(BenchArgs, ParsesFlags) {
   EXPECT_EQ(args.seed, 77u);
 }
 
+TEST(BenchArgsDeathTest, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"bench", "--help"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(BenchArgsDeathTest, UnknownArgumentExitsTwo) {
+  const char* argv[] = {"bench", "--scale=0.5", "--bogus"};
+  EXPECT_EXIT(ParseBenchArgs(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "error: unknown argument '--bogus'\nusage: bench ");
+}
+
+TEST(BenchArgsDeathTest, PartialNumbersExitTwo) {
+  const char* queries[] = {"bench", "--queries=4x"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(queries)),
+              ::testing::ExitedWithCode(2),
+              "--queries: expected an integer, got '4x'");
+  const char* scale[] = {"bench", "--scale=fast"};
+  EXPECT_EXIT(ParseBenchArgs(2, const_cast<char**>(scale)),
+              ::testing::ExitedWithCode(2),
+              "--scale: expected a number, got 'fast'");
+}
+
 TEST(EffectiveWindow, ScalesByPaperRatioWithFloorAndCap) {
   TemporalDataset ds = MakePreset("superuser", 1.0);  // 48k edges, 1.44M
   const Timestamp w = EffectiveWindow(ds, 30000);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/commands.h"
 #include "io/stream_reader.h"
@@ -12,6 +15,22 @@ namespace {
 
 std::string TmpPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// The match lines of a --print report: `+ ...` / `- ...`, or
+/// `q<i> + ...` with several query files.
+std::string MatchLines(const std::string& s) {
+  std::string lines;
+  std::istringstream in(s);
+  std::string line;
+  while (std::getline(in, line)) {
+    const bool tagged = line.size() > 1 && line[0] == 'q' &&
+                        std::isdigit(static_cast<unsigned char>(line[1]));
+    if (tagged || (!line.empty() && (line[0] == '+' || line[0] == '-'))) {
+      lines += line + "\n";
+    }
+  }
+  return lines;
 }
 
 TEST(Cli, GenStatsRoundTrip) {
@@ -59,7 +78,6 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
   ASSERT_EQ(CmdRun({tel, query, "--window=200"}, run), 0) << run.str();
   EXPECT_NE(run.str().find("engine=TCM"), std::string::npos);
   EXPECT_NE(run.str().find("threads=1"), std::string::npos);
-  EXPECT_NE(run.str().find("shards=1"), std::string::npos);
   EXPECT_NE(run.str().find("occurred="), std::string::npos);
 
   // --threads routes through the parallel context, is echoed in the run
@@ -76,27 +94,6 @@ TEST(Cli, FullPipelineRunAndSnapshot) {
     return s.substr(begin, s.find(" elapsed_ms=") - begin);
   };
   EXPECT_EQ(counts(par.str()), counts(run.str()));
-
-  // --shards splits the data graph across vertex partitions. The header
-  // records the shard count (and the one-lane-per-shard default thread
-  // count), and the match counts are identical to the serial run — the
-  // sharded context's determinism guarantee.
-  std::ostringstream shr;
-  ASSERT_EQ(CmdRun({tel, query, "--window=200", "--shards=4"}, shr), 0)
-      << shr.str();
-  EXPECT_NE(shr.str().find("shards=4"), std::string::npos);
-  EXPECT_NE(shr.str().find("threads=4"), std::string::npos);
-  EXPECT_EQ(counts(shr.str()), counts(run.str()));
-
-  // Only the TCM engine is instantiated over the sharded graph view;
-  // asking for a sharded baseline is a named error, not a silent serial
-  // fallback.
-  std::ostringstream shbad;
-  EXPECT_EQ(CmdRun({tel, query, "--window=200", "--shards=2",
-                    "--engine=timing"},
-                   shbad),
-            1);
-  EXPECT_NE(shbad.str().find("requires --engine=tcm"), std::string::npos);
 
   // All engines accept the same pipeline.
   for (const std::string engine : {"timing", "symbi", "local"}) {
@@ -172,27 +169,8 @@ TEST(Cli, GenTelAndReplay) {
   // replay must report the same matches in the same order as run.
   std::ostringstream replay;
   ASSERT_EQ(CmdReplay({tel, query, "--print"}, replay), 0) << replay.str();
-  const auto matches = [](const std::string& s) {
-    std::string lines;
-    std::istringstream in(s);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && (line[0] == '+' || line[0] == '-')) {
-        lines += line + "\n";
-      }
-    }
-    return lines;
-  };
-  EXPECT_EQ(matches(replay.str()), matches(run.str()));
-  EXPECT_NE(matches(run.str()), "");
-
-  // A sharded replay reports the same matches in the same order — the
-  // byte-identical stream contract at the CLI surface.
-  std::ostringstream shreplay;
-  ASSERT_EQ(CmdReplay({tel, query, "--print", "--shards=2"}, shreplay), 0)
-      << shreplay.str();
-  EXPECT_NE(shreplay.str().find("shards=2"), std::string::npos);
-  EXPECT_EQ(matches(shreplay.str()), matches(run.str()));
+  EXPECT_EQ(MatchLines(replay.str()), MatchLines(run.str()));
+  EXPECT_NE(MatchLines(run.str()), "");
 
   // Several query files fan out across threads; summary is per query.
   std::ostringstream multi;
@@ -212,12 +190,11 @@ TEST(Cli, GenTelAndReplay) {
                       json2),
             0);
   EXPECT_EQ(json2.str().rfind("{\"stream\":", 0), 0u) << json2.str();
-  EXPECT_NE(json2.str().find("\"shards\":1"), std::string::npos);
   std::ostringstream json3;
-  ASSERT_EQ(CmdReplay({tel, query, query, "--json", "--shards=2"}, json3),
+  ASSERT_EQ(CmdReplay({tel, query, query, "--json", "--threads=2"}, json3),
             0);
   EXPECT_EQ(json3.str().rfind("{\"stream\":", 0), 0u) << json3.str();
-  EXPECT_NE(json3.str().find("\"shards\":2"), std::string::npos);
+  EXPECT_NE(json3.str().find("\"threads\":2"), std::string::npos);
 
   // --max-events caps the arrivals but still expires what arrived.
   std::ostringstream capped;
@@ -255,25 +232,14 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
-std::string MatchLines(const std::string& s) {
-  std::string lines;
-  std::istringstream in(s);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && (line[0] == '+' || line[0] == '-')) {
-      lines += line + "\n";
-    }
-  }
-  return lines;
-}
-
-TEST(Cli, ShardedReplayOfExplicitExpiryPrintsEveryMatch) {
-  // Coalesced arrivals go through the pooled shard pipeline, which puts
-  // buffers in front of the engines' sinks; the explicit x records then
-  // expire one edge per call on the inline path. Every match reported
-  // there must still reach the output, in the serial order.
-  const std::string tel = TmpPath("cli_shard_x.tel");
-  const std::string query = TmpPath("cli_shard_x.tq");
+TEST(Cli, ThreadedReplayOfExplicitExpiryPrintsEveryMatch) {
+  // Coalesced arrivals of two queries go through the pooled pipeline,
+  // which puts buffers in front of the engines' sinks; the explicit x
+  // records then expire one edge per call. Every match reported there
+  // must still reach the output, in the serial order.
+  const std::string tel = TmpPath("cli_par_x.tel");
+  const std::string query = TmpPath("cli_par_x.tq");
+  const std::string query2 = TmpPath("cli_par_x2.tq");
   std::ostringstream out;
   ASSERT_EQ(CmdGen({"random", tel, "--vertices=60", "--edges=600",
                     "--vlabels=2", "--coalesce=4", "--seed=5",
@@ -283,24 +249,20 @@ TEST(Cli, ShardedReplayOfExplicitExpiryPrintsEveryMatch) {
       << out.str();
   ASSERT_EQ(CmdGenQuery({tel, query, "--size=2", "--seed=3"}, out), 0)
       << out.str();
-  const auto matches = [](const std::string& s) {
-    std::string lines;
-    std::istringstream in(s);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && (line[0] == '+' || line[0] == '-')) {
-        lines += line + "\n";
-      }
-    }
-    return lines;
-  };
+  ASSERT_EQ(CmdGenQuery({tel, query2, "--size=2", "--seed=4"}, out), 0)
+      << out.str();
   std::ostringstream serial;
-  ASSERT_EQ(CmdReplay({tel, query, "--print"}, serial), 0) << serial.str();
-  std::ostringstream sharded;
-  ASSERT_EQ(CmdReplay({tel, query, "--print", "--shards=2"}, sharded), 0)
-      << sharded.str();
-  EXPECT_NE(matches(serial.str()), "");
-  EXPECT_EQ(matches(sharded.str()), matches(serial.str()));
+  ASSERT_EQ(CmdReplay({tel, query, query2, "--print"}, serial), 0)
+      << serial.str();
+  std::ostringstream threaded;
+  ASSERT_EQ(CmdReplay({tel, query, query2, "--print", "--threads=2"},
+                      threaded),
+            0)
+      << threaded.str();
+  EXPECT_NE(threaded.str().find("threads=2"), std::string::npos);
+  EXPECT_NE(MatchLines(serial.str()), "");
+  EXPECT_EQ(MatchLines(threaded.str()), MatchLines(serial.str()));
+  for (const std::string& f : {tel, query, query2}) std::remove(f.c_str());
 }
 
 TEST(Cli, ConvertAndBinaryReplay) {
@@ -526,10 +488,11 @@ TEST(Cli, ObservabilityFlags) {
   EXPECT_NE(stats.str().find(" peak_at="), std::string::npos);
 
   // --trace-out writes a chrome-trace file: well-formed header, spans
-  // for the streaming stages, and a confirmation line naming the file.
+  // for the streaming stages (two queries at --threads=2 add the
+  // pipelined fan-out's), and a confirmation line naming the file.
   const std::string trace = TmpPath("cli_obs_trace.json");
   std::ostringstream traced;
-  ASSERT_EQ(CmdReplay({tel, query, "--shards=2", "--threads=2",
+  ASSERT_EQ(CmdReplay({tel, query, query, "--threads=2",
                        "--trace-out=" + trace},
                       traced),
             0)
@@ -544,6 +507,7 @@ TEST(Cli, ObservabilityFlags) {
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"arrival_batch\""), std::string::npos);
+  EXPECT_NE(json.find("\"insert_fanout\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
   // --json with metrics on stays one pure JSON line (plus opt-in stats
@@ -573,7 +537,7 @@ TEST(Cli, ObservabilityFlags) {
   // silently ignoring them.
   std::ostringstream rej;
   EXPECT_EQ(CmdStats({tel, "--metrics"}, rej), 2);
-  EXPECT_NE(rej.str().find("only applies to streaming subcommands"),
+  EXPECT_NE(rej.str().find("unknown flag --metrics for 'stats'"),
             std::string::npos)
       << rej.str();
   std::ostringstream rej2;
@@ -581,10 +545,14 @@ TEST(Cli, ObservabilityFlags) {
                          "--trace-out=x.json"},
                         rej2),
             2);
-  EXPECT_NE(rej2.str().find("not 'gen-query'"), std::string::npos);
+  EXPECT_NE(rej2.str().find("unknown flag --trace-out for 'gen-query'"),
+            std::string::npos)
+      << rej2.str();
   std::ostringstream rej3;
   EXPECT_EQ(CmdSnapshot({tel, query, "--stats-every=5"}, rej3), 2);
-  EXPECT_NE(rej3.str().find("not 'snapshot'"), std::string::npos);
+  EXPECT_NE(rej3.str().find("unknown flag --stats-every for 'snapshot'"),
+            std::string::npos)
+      << rej3.str();
 
   std::remove(tel.c_str());
   std::remove(query.c_str());
@@ -742,6 +710,40 @@ TEST(Cli, MalformedNumericFlagsAreNamed) {
   EXPECT_FALSE(std::ifstream(scratch).good());
   std::remove(tel.c_str());
   std::remove(query.c_str());
+}
+
+TEST(Cli, UnknownFlagsAreRefused) {
+  // Each subcommand accepts only its own flags: a typo, a removed flag or
+  // another subcommand's flag exits 2 before any input is read (the
+  // stream and query paths below do not exist), naming the flag and the
+  // subcommand.
+  struct Case {
+    std::vector<std::string> argv;
+    std::string error;
+  };
+  const Case cases[] = {
+      {{"replay", "x.tel", "q.tq", "--shards=4"},
+       "unknown flag --shards for 'replay'"},
+      {{"run", "x.tel", "q.tq", "--shards=4"},
+       "unknown flag --shards for 'run'"},
+      {{"run", "x.tel", "q.tq", "--windw=50"},
+       "unknown flag --windw for 'run'"},
+      {{"run", "x.tel", "q.tq", "--labels=x"},
+       "unknown flag --labels for 'run'"},
+      {{"run", "x.tel", "q.tq", "--seek-ts=5"},
+       "unknown flag --seek-ts for 'run'"},
+  };
+  for (const Case& c : cases) {
+    std::vector<char*> argv = {const_cast<char*>("tcsm")};
+    for (const std::string& a : c.argv) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    std::ostringstream o, e;
+    EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data(), o, e), 2)
+        << c.argv[0] << " " << c.argv.back();
+    EXPECT_EQ(o.str().rfind("error: " + c.error + " (accepted: --", 0), 0u)
+        << o.str();
+  }
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "datasets/synthetic.h"
 #include "obs/observability.h"
 #include "querygen/query_generator.h"
-#include "shard/sharded_multi_engine.h"
 #include "testlib/fuzz_scenarios.h"
 #include "testlib/stream_checker.h"
 
@@ -274,15 +273,16 @@ TEST_P(StreamFuzz, MultiQueryMatchesSingleQueryEngines) {
   EXPECT_EQ(res.occurred + res.expired, total);
 }
 
-// Parallel differential: the same multi-query fan-out sharded across 2,
-// 4, and 8 threads by the ParallelStreamContext machinery must emit, per
-// query, exactly the match stream of the serial MultiQueryEngine —
-// occurred and expired sets byte-identical *including order* (the
-// deterministic-merge contract of DESIGN.md §6).
+// Parallel differential: the same multi-query fan-out spread across 2,
+// 4, and 8 threads by the ParallelStreamContext machinery must emit
+// exactly the match stream of the serial MultiQueryEngine — per query AND
+// globally, byte-identical *including order* (the deterministic-merge
+// contract of DESIGN.md §6) — and scan exactly the same adjacency
+// entries.
 TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
   // A 4-query set: the primary plus three independent walk variants
   // (falling back to earlier queries where the dataset yields no new
-  // walk), so the shards are non-trivial at every thread count.
+  // walk), so every thread count has several engines to spread.
   std::vector<QueryGraph> queries{query_};
   for (uint64_t k = 1; k <= 3; ++k) {
     QueryGraph variant;
@@ -297,72 +297,8 @@ TEST_P(StreamFuzz, ParallelMatchesSerialMultiQuery) {
   struct TaggedStreams : MultiMatchSink {
     explicit TaggedStreams(size_t n) : streams(n) {}
     std::vector<std::vector<std::pair<Embedding, MatchKind>>> streams;
-    void OnMatch(size_t query_index, const Embedding& embedding,
-                 MatchKind kind, uint64_t multiplicity) override {
-      ASSERT_LT(query_index, streams.size());
-      for (uint64_t i = 0; i < multiplicity; ++i) {
-        streams[query_index].emplace_back(embedding, kind);
-      }
-    }
-  };
-
-  StreamConfig config;
-  config.window = GetParam().window;
-
-  TaggedStreams serial(queries.size());
-  uint64_t serial_total = 0;
-  {
-    MultiQueryEngine engine(queries, schema_);
-    engine.set_multi_sink(&serial);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(res.completed);
-    ASSERT_EQ(res.num_threads, 1u);
-    serial_total = res.occurred + res.expired;
-  }
-
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    TaggedStreams parallel(queries.size());
-    MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
-    engine.set_multi_sink(&parallel);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    ASSERT_TRUE(res.completed);
-    EXPECT_EQ(res.num_threads, threads);
-    EXPECT_EQ(res.occurred + res.expired, serial_total);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
-          << "per-query stream of query " << qi
-          << " diverged from serial execution";
-    }
-  }
-}
-
-// Sharded differential: the same 4-query fan-out over a vertex-
-// partitioned ShardedStreamContext at 2, 4, and 8 shards, each at 1 and
-// 4 threads, must emit exactly the serial MultiQueryEngine's match
-// stream — per query AND globally, byte-identical including order (the
-// shard-then-attach deterministic merge with contiguous engine placement
-// of DESIGN.md §10). Scan counters must match too: mirrored owner
-// adjacency makes every engine read — candidate scans included —
-// identical to the unsharded run, not merely the final embedding sets.
-TEST_P(StreamFuzz, ShardedMatchesSerial) {
-  std::vector<QueryGraph> queries{query_};
-  for (uint64_t k = 1; k <= 3; ++k) {
-    QueryGraph variant;
-    Rng rng(GetParam().seed ^ (0x517cc1b727220a95ull * k));
-    if (GenerateQuery(dataset_, GetParam().query, &rng, &variant)) {
-      queries.push_back(variant);
-    } else {
-      queries.push_back(queries[k - 1]);
-    }
-  }
-
-  struct TaggedStreams : MultiMatchSink {
-    explicit TaggedStreams(size_t n) : streams(n) {}
-    std::vector<std::vector<std::pair<Embedding, MatchKind>>> streams;
-    /// The global interleaving across queries, for the whole-stream
-    /// byte-identity check (per-query equality alone would not catch a
-    /// merge-order bug).
+    /// The global interleaving across queries (per-query equality alone
+    /// would not catch a merge-order bug).
     std::vector<std::tuple<size_t, Embedding, MatchKind>> global;
     void OnMatch(size_t query_index, const Embedding& embedding,
                  MatchKind kind, uint64_t multiplicity) override {
@@ -384,34 +320,28 @@ TEST_P(StreamFuzz, ShardedMatchesSerial) {
     engine.set_multi_sink(&serial);
     serial_res = RunStream(dataset_, config, &engine);
     ASSERT_TRUE(serial_res.completed);
-    ASSERT_EQ(serial_res.num_shards, 1u);
+    ASSERT_EQ(serial_res.num_threads, 1u);
   }
 
-  for (const size_t shards : {size_t{2}, size_t{4}, size_t{8}}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
-                   std::to_string(threads));
-      TaggedStreams sharded(queries.size());
-      ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
-                                     threads);
-      engine.set_multi_sink(&sharded);
-      const StreamResult res = RunStream(dataset_, config, &engine);
-      ASSERT_TRUE(res.completed);
-      EXPECT_EQ(res.num_shards, shards);
-      EXPECT_EQ(res.num_threads, threads);
-      EXPECT_EQ(res.occurred + res.expired,
-                serial_res.occurred + serial_res.expired);
-      EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned)
-          << "sharded execution scanned different adjacency entries";
-      EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        EXPECT_EQ(sharded.streams[qi], serial.streams[qi])
-            << "per-query stream of query " << qi
-            << " diverged from serial execution";
-      }
-      EXPECT_EQ(sharded.global, serial.global)
-          << "global match interleaving diverged from serial execution";
+  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TaggedStreams parallel(queries.size());
+    MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
+    engine.set_multi_sink(&parallel);
+    const StreamResult res = RunStream(dataset_, config, &engine);
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(res.num_threads, threads);
+    EXPECT_EQ(res.occurred + res.expired,
+              serial_res.occurred + serial_res.expired);
+    EXPECT_EQ(res.adj_entries_scanned, serial_res.adj_entries_scanned);
+    EXPECT_EQ(res.adj_entries_matched, serial_res.adj_entries_matched);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_EQ(parallel.streams[qi], serial.streams[qi])
+          << "per-query stream of query " << qi
+          << " diverged from serial execution";
     }
+    EXPECT_EQ(parallel.global, serial.global)
+        << "global match interleaving diverged from serial execution";
   }
 }
 
@@ -478,8 +408,7 @@ TEST_P(StreamFuzz, BatchedMatchesUnbatchedDelivery) {
 // (no tracing — DESIGN.md §11's zero-perturbation contract) must emit
 // byte-identical per-query match streams, and the registry's event
 // accounting must reconcile exactly with the StreamResult totals —
-// through the parallel fan-out at 1 and 4 threads and the sharded
-// context at 2 and 4 shards.
+// through the parallel fan-out at 1 and 4 threads.
 TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
   std::vector<QueryGraph> queries{query_};
   for (uint64_t k = 1; k <= 3; ++k) {
@@ -543,19 +472,6 @@ TEST_P(StreamFuzz, MetricsDoNotPerturbMatching) {
     config.obs = &obs;
     TaggedStreams run(queries.size());
     MultiQueryEngine engine(queries, schema_, TcmConfig{}, threads);
-    engine.set_multi_sink(&run);
-    const StreamResult res = RunStream(dataset_, config, &engine);
-    check(res, run, obs);
-  }
-
-  for (const size_t shards : {size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    Observability obs;
-    StreamConfig config = plain;
-    config.obs = &obs;
-    TaggedStreams run(queries.size());
-    ShardedMultiQueryEngine engine(queries, schema_, shards, TcmConfig{},
-                                   /*num_threads=*/4);
     engine.set_multi_sink(&run);
     const StreamResult res = RunStream(dataset_, config, &engine);
     check(res, run, obs);
